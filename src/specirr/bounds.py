@@ -7,7 +7,9 @@ no cancellation in var = (1/n) sum d^2 - (2m/n)^2.
 
 Applicability rules (connectivity, regularity, vertex-count floors) are
 enforced by bound_report; the raw formula functions trust their stated
-preconditions.
+preconditions.  build_context evaluates a graph once (degree statistics,
+class, connectivity, both spectral radii) and builds the report from
+those same values; bound_report returns that report.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .graphs import (
     degree_stats,
     is_connected,
 )
-from .spectral import DEFAULT_TOL, adjacency_spectral_radius
+from .spectral import DEFAULT_TOL, adjacency_spectral_radius, spectral_summary
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +123,10 @@ def yu_lu_tian_lower(g: Graph) -> float:
         raise ValueError("Yu-Lu-Tian bound requires a connected graph")
     if g.m == 0:
         raise ValueError("Yu-Lu-Tian bound requires at least one edge")
-    s = degree_stats(g)
+    return _yu_lu_tian(degree_stats(g))
+
+
+def _yu_lu_tian(s: DegreeStats) -> float:
     num = sum(t * t for t in s.two_degrees)
     return math.sqrt(float(Fraction(num, s.sum_sq_degrees)))
 
@@ -279,12 +284,8 @@ class BoundReport:
     applicability: dict[str, str] = field(default_factory=dict)
 
 
-def bound_report(g: Graph, tol: float = DEFAULT_TOL) -> BoundReport:
-    """Evaluate every applicable bound on one graph."""
-    s = degree_stats(g)
-    cls = classify(g)
-    connected = is_connected(g)
-    rho = adjacency_spectral_radius(g, tol).rho
+def _report(s: DegreeStats, cls: RegularityClass, connected: bool, rho: float) -> BoundReport:
+    """Every applicable bound, from one graph's already computed quantities."""
     eps = rho - float(s.avg_degree)
     notes: dict[str, str] = {}
 
@@ -328,11 +329,11 @@ def bound_report(g: Graph, tol: float = DEFAULT_TOL) -> BoundReport:
         notes["hsf_ub"] = "inapplicable: graph is disconnected"
     else:
         hsf = hong_shu_fang_upper(s)
-        if g.m == 0:
+        if s.m == 0:
             ylt = None
             notes["ylt_lb"] = "inapplicable: graph has no edges"
         else:
-            ylt = yu_lu_tian_lower(g)
+            ylt = _yu_lu_tian(s)
 
     var_lb, var_ub = variance_sandwich(s)
     return BoundReport(
@@ -350,3 +351,42 @@ def bound_report(g: Graph, tol: float = DEFAULT_TOL) -> BoundReport:
         var_ub=var_ub,
         applicability=notes,
     )
+
+
+@dataclass(frozen=True)
+class GraphContext:
+    """Everything the checks and report rows need about one graph, computed once."""
+
+    graph: Graph
+    stats: DegreeStats
+    regularity: RegularityClass
+    connected: bool
+    rho: float
+    q1: float
+    epsilon: float
+    report: BoundReport
+
+
+def build_context(g: Graph, tol: float = DEFAULT_TOL) -> GraphContext:
+    """One evaluation of a graph: degree statistics, class, connectivity,
+    both spectral radii, and the bound report built from those values."""
+    s = degree_stats(g)
+    cls = classify(g)
+    connected = is_connected(g)
+    summary = spectral_summary(g, tol)
+    report = _report(s, cls, connected, summary.rho)
+    return GraphContext(
+        graph=g,
+        stats=s,
+        regularity=cls,
+        connected=connected,
+        rho=summary.rho,
+        q1=summary.q1,
+        epsilon=report.epsilon,
+        report=report,
+    )
+
+
+def bound_report(g: Graph, tol: float = DEFAULT_TOL) -> BoundReport:
+    """Evaluate every applicable bound on one graph."""
+    return build_context(g, tol).report

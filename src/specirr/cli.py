@@ -3,7 +3,7 @@
 Output is byte-deterministic for fixed inputs and flags: no timestamps,
 stable column order, and identical values in the CSV and JSON emissions of
 the same run.  Exit codes: 0 success (and no violations), 1 violations
-found, 2 usage or input error, 3 numerical non-convergence.
+found, 2 usage or input error, 3 spectral residual above --tol.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from .graphs import (
     Graph,
     complete,
     cycle,
-    degree_stats,
     enumerate_graphs,
     parse_graph6,
     path,
@@ -29,8 +28,8 @@ from .graphs import (
     subdivided_prism,
     to_graph6,
 )
-from .spectral import DEFAULT_TOL, SpectralConvergenceError, spectral_summary
-from .bounds import bound_report
+from .spectral import DEFAULT_TOL, SpectralConvergenceError
+from .bounds import build_context
 from .harness import (
     DEFAULT_CHECK_TOL,
     SEARCH_CAP,
@@ -72,9 +71,8 @@ GENERATORS = {
 
 def report_row(g: Graph, tol: float = DEFAULT_TOL) -> dict:
     """One output row: exact integers, decimals, and every bound column."""
-    s = degree_stats(g)
-    summary = spectral_summary(g, tol)
-    rep = bound_report(g, tol)
+    ctx = build_context(g, tol)
+    s, rep = ctx.stats, ctx.report
     return {
         "graph6": to_graph6(g),
         "n": s.n,
@@ -83,8 +81,8 @@ def report_row(g: Graph, tol: float = DEFAULT_TOL) -> dict:
         "min_degree": s.min_degree,
         "avg_degree": s.avg_degree_float,
         "variance": s.variance_float,
-        "rho": summary.rho,
-        "q1": summary.q1,
+        "rho": ctx.rho,
+        "q1": ctx.q1,
         "epsilon": rep.epsilon,
         "nikiforov": rep.nikiforov,
         "main": rep.main,

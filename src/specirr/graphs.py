@@ -60,15 +60,6 @@ class Graph:
     def degrees(self) -> tuple[int, ...]:
         return tuple(mask.bit_count() for mask in self.neighbor_masks)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        if u > v:
-            u, v = v, u
-        return (u, v) in self.edges
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        mask = self.neighbor_masks[v]
-        return tuple(u for u in range(self.n) if (mask >> u) & 1)
-
     def relabel(self, perm: Sequence[int]) -> "Graph":
         """Graph with vertex i renamed to perm[i]."""
         relabeled = (tuple(sorted((perm[u], perm[v]))) for u, v in self.edges)

@@ -16,21 +16,18 @@ from typing import Callable, Iterable, Mapping
 
 from .graphs import (
     ENUMERATION_CAP,
-    DegreeStats,
     Graph,
     RegularityClass,
     canonical_form,
     classify,
-    degree_stats,
     enumerate_graphs,
-    is_connected,
     parse_graph6,
     to_graph6,
 )
-from .spectral import spectral_oracle, spectral_summary
+from .spectral import adjacency_spectral_radius, spectral_oracle
 from .bounds import (
-    BoundReport,
-    bound_report,
+    GraphContext,
+    build_context,
     l_high_exact,
     l_low_exact,
     l_high_two_term_exact,
@@ -62,40 +59,6 @@ class ViolationReport:
     rhs: float
     margin: float
     tolerance: float
-
-
-@dataclass(frozen=True)
-class GraphContext:
-    """Everything the checks need about one graph, computed once."""
-
-    graph: Graph
-    graph6: str
-    canonical: str
-    stats: DegreeStats
-    regularity: RegularityClass
-    connected: bool
-    rho: float
-    q1: float
-    epsilon: float
-    report: BoundReport
-
-
-def build_context(g: Graph) -> GraphContext:
-    s = degree_stats(g)
-    summary = spectral_summary(g)
-    report = bound_report(g)
-    return GraphContext(
-        graph=g,
-        graph6=to_graph6(g),
-        canonical=canonical_form(g).hex(),
-        stats=s,
-        regularity=classify(g),
-        connected=is_connected(g),
-        rho=summary.rho,
-        q1=summary.q1 if summary.q1 is not None else 0.0,
-        epsilon=report.epsilon,
-        report=report,
-    )
 
 
 CheckFn = Callable[[GraphContext, float], list[tuple[str, float, float]]]
@@ -309,19 +272,20 @@ def verify_graphs(
     violations: list[ViolationReport] = []
     for g in graphs:
         ctx = build_context(g)
-        for fn in registry.values():
-            for name, lhs, rhs in fn(ctx, tol):
-                margin = lhs - rhs
-                if margin > tol:
-                    violations.append(ViolationReport(
-                        graph6=ctx.graph6,
-                        canonical=ctx.canonical,
-                        check_name=name,
-                        lhs=lhs,
-                        rhs=rhs,
-                        margin=margin,
-                        tolerance=tol,
-                    ))
+        failed = [
+            (name, lhs, rhs)
+            for fn in registry.values()
+            for name, lhs, rhs in fn(ctx, tol)
+            if lhs - rhs > tol
+        ]
+        if not failed:
+            continue
+        graph6, canonical = to_graph6(g), canonical_form(g).hex()
+        violations.extend(
+            ViolationReport(graph6=graph6, canonical=canonical, check_name=name,
+                            lhs=lhs, rhs=rhs, margin=lhs - rhs, tolerance=tol)
+            for name, lhs, rhs in failed
+        )
     return violations
 
 
@@ -365,8 +329,7 @@ class SearchRecord:
 
 
 def _epsilon_of(g: Graph) -> float:
-    ctx_rho = spectral_summary(g).rho
-    return ctx_rho - 2 * g.m / g.n
+    return adjacency_spectral_radius(g).rho - 2 * g.m / g.n
 
 
 def _search_cell(n: int, m: int, objective: str, include_regular: bool) -> SearchRecord | None:
@@ -386,19 +349,14 @@ def _search_cell(n: int, m: int, objective: str, include_regular: bool) -> Searc
             best.append((g, eps))
     if not best:
         return None
-    winner, eps = best[0]
-    stats = degree_stats(winner)
-    ties = tuple(
-        (to_graph6(g), degree_stats(g).max_degree - degree_stats(g).min_degree)
-        for g, _ in best
-    )
+    ties = tuple((to_graph6(g), max(g.degrees) - min(g.degrees)) for g, _ in best)
     return SearchRecord(
         objective=objective,
         n=n,
         m=m,
-        graph6=to_graph6(winner),
-        epsilon=eps,
-        degree_gap=stats.max_degree - stats.min_degree,
+        graph6=ties[0][0],
+        epsilon=best[0][1],
+        degree_gap=ties[0][1],
         ties=ties,
     )
 

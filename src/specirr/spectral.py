@@ -1,23 +1,22 @@
 """Spectral radius computation for small graphs.
 
-Two independent routes are provided.  The production path is power
-iteration: on the adjacency matrix it runs on A + I (same dominant
-eigenvector, but the shift makes the top eigenvalue strictly dominant in
-modulus, defeating the +/-rho oscillation of bipartite spectra), started
-from the strictly positive vector 1 + degrees, with a Rayleigh-quotient
-residual stopping test.  The oracle path isolates the largest real root of
-the exact integer characteristic polynomial by bisection with Sturm-chain
-root counting, entirely in rational arithmetic; it shares no code or
-algorithmic family with the iteration and is used to cross-validate it.
-
-Disconnected graphs are handled as the maximum over connected components
-in both routes (an isolated vertex contributes 0).
+Two independent routes are provided.  The production path is one dense
+symmetric eigensolve (LAPACK via numpy) of the adjacency matrix: its top
+eigenpair gives rho, accepted only when the eigenvector residual
+||Ax - rho x|| is within the requested tolerance, and the top eigenvalue of
+A + D gives the signless-Laplacian radius.  A disconnected graph needs no
+special handling, since the spectrum of its block-diagonal matrix is the
+union of the components' spectra.  The oracle path isolates the largest
+real root of the exact integer characteristic polynomial by bisection with
+Sturm-chain root counting, entirely in rational arithmetic, per connected
+component; it shares no code or algorithmic family with the eigensolve and
+is used to cross-validate it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -26,22 +25,20 @@ import numpy as np
 from .graphs import Graph, connected_components
 
 DEFAULT_TOL = 1e-12
-MAX_ITERATIONS = 1_000_000
 ORACLE_MAX_N = 12
 
 
 class SpectralConvergenceError(RuntimeError):
-    """Power iteration failed to reach the requested tolerance."""
+    """The eigensolve's residual exceeds the requested tolerance."""
 
 
 @dataclass(frozen=True)
 class SpectralResult:
-    """Spectral radius with convergence metadata.
+    """Spectral radius with accuracy metadata.
 
     rho is the adjacency spectral radius; q1 the signless-Laplacian radius
-    when it was requested alongside (None otherwise).  iterations sums the
-    per-component iteration counts; residual is the worst final
-    Rayleigh-quotient residual across components.
+    when it was requested alongside (None otherwise).  iterations is 1: one
+    eigensolve.  residual is ||Ax - rho x|| for the unit top eigenvector x.
     """
 
     rho: float
@@ -51,100 +48,60 @@ class SpectralResult:
 
 
 # ---------------------------------------------------------------------------
-# Power iteration
+# Dense symmetric eigensolve
 # ---------------------------------------------------------------------------
 
-def _power_iteration(matrix: np.ndarray, start: np.ndarray, tol: float) -> tuple[float, int, float]:
-    """Dominant eigenvalue of a symmetric matrix with positive-overlap start.
-
-    Stops when the 2-norm residual ||Mx - rx|| of the Rayleigh quotient r
-    drops below tol * max(1, |r|); for a symmetric matrix that residual
-    bounds the distance from r to the nearest eigenvalue.
-    """
-    x = start / np.linalg.norm(start)
-    res = math.inf
-    for iteration in range(1, MAX_ITERATIONS + 1):
-        y = matrix @ x
-        lam = float(x @ y)
-        res = float(np.linalg.norm(y - lam * x))
-        if res <= tol * max(1.0, abs(lam)):
-            return lam, iteration, res
-        norm_y = float(np.linalg.norm(y))
-        if norm_y == 0.0:
-            return 0.0, iteration, 0.0
-        x = y / norm_y
-    raise SpectralConvergenceError(
-        f"power iteration did not converge within {MAX_ITERATIONS} iterations "
-        f"(final residual {res:.3e}, tolerance {tol:.3e})"
-    )
+def _adjacency_matrix(g: Graph) -> np.ndarray:
+    """Dense 0/1 adjacency matrix; row v unpacks the bits of neighbor_masks[v]."""
+    width = (g.n + 7) // 8
+    packed = b"".join(mask.to_bytes(width, "little") for mask in g.neighbor_masks)
+    rows = np.frombuffer(packed, dtype=np.uint8).reshape(g.n, width)
+    return np.unpackbits(rows, axis=1, count=g.n, bitorder="little").astype(float)
 
 
-def _component_matrix(g: Graph, comp: Sequence[int], diagonal: str) -> tuple[np.ndarray, np.ndarray]:
-    """Dense matrix of a component plus the 1 + degree start vector.
+def _radius(adj: np.ndarray, tol: float) -> SpectralResult:
+    """Top eigenpair of the adjacency matrix, checked by its residual.
 
-    diagonal='shift' gives A + I, diagonal='degrees' gives the signless
-    Laplacian A + D.
-    """
-    index = {v: i for i, v in enumerate(comp)}
-    k = len(comp)
-    mat = np.zeros((k, k))
-    masks = g.neighbor_masks
-    for v in comp:
-        i = index[v]
-        mask = masks[v]
-        for u in comp:
-            if (mask >> u) & 1:
-                mat[i, index[u]] = 1.0
-    degs = np.array([g.degrees[v] for v in comp], dtype=float)
-    if diagonal == "shift":
-        mat[np.diag_indices(k)] = 1.0
-    else:
-        mat[np.diag_indices(k)] = degs
-    return mat, 1.0 + degs
-
-
-def adjacency_spectral_radius(g: Graph, tol: float = DEFAULT_TOL) -> SpectralResult:
-    """Adjacency spectral radius to relative accuracy tol.
-
-    Power iteration runs on A + I per connected component; the result is
-    the component maximum, un-shifted.
+    For a symmetric matrix the residual ||Ax - rho x|| of a unit vector x
+    bounds the distance from rho to the nearest eigenvalue.
     """
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    rho = 0.0
-    iterations = 0
-    worst_residual = 0.0
-    for comp in connected_components(g):
-        matrix, start = _component_matrix(g, comp, "shift")
-        lam, its, res = _power_iteration(matrix, start, tol)
-        rho = max(rho, lam - 1.0)
-        iterations += its
-        worst_residual = max(worst_residual, res)
-    return SpectralResult(rho=rho, q1=None, iterations=iterations, residual=worst_residual)
+    values, vectors = np.linalg.eigh(adj)
+    rho, x = float(values[-1]), vectors[:, -1]
+    residual = float(np.linalg.norm(adj @ x - rho * x))
+    if residual > tol * max(1.0, rho):
+        raise SpectralConvergenceError(
+            f"spectral residual {residual:.3e} above tolerance {tol:.3e} "
+            f"(relative to rho = {rho:.6g})"
+        )
+    return SpectralResult(rho=rho, q1=None, iterations=1, residual=residual)
+
+
+def _signless_radius(adj: np.ndarray) -> float:
+    return float(np.linalg.eigvalsh(adj + np.diag(adj.sum(axis=1)))[-1])
+
+
+def adjacency_spectral_radius(g: Graph, tol: float = DEFAULT_TOL) -> SpectralResult:
+    """Adjacency spectral radius, with residual at most tol * max(1, rho)."""
+    return _radius(_adjacency_matrix(g), tol)
 
 
 def signless_laplacian_radius(g: Graph, tol: float = DEFAULT_TOL) -> float:
     """Spectral radius of the signless Laplacian A + D.
 
-    A + D is entrywise nonnegative and positive semidefinite, so unshifted
-    power iteration converges; disconnected graphs take the component max.
+    tol is validated like adjacency_spectral_radius's; the eigenvalue
+    itself needs no stopping test.
     """
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    q1 = 0.0
-    for comp in connected_components(g):
-        matrix, start = _component_matrix(g, comp, "degrees")
-        lam, _, _ = _power_iteration(matrix, start, tol)
-        q1 = max(q1, lam)
-    return q1
+    return _signless_radius(_adjacency_matrix(g))
 
 
 def spectral_summary(g: Graph, tol: float = DEFAULT_TOL) -> SpectralResult:
-    """Adjacency radius and signless-Laplacian radius in one result."""
-    result = adjacency_spectral_radius(g, tol)
-    q1 = signless_laplacian_radius(g, tol)
-    return SpectralResult(rho=result.rho, q1=q1, iterations=result.iterations,
-                          residual=result.residual)
+    """Adjacency radius and signless-Laplacian radius from one matrix."""
+    adj = _adjacency_matrix(g)
+    return replace(_radius(adj, tol), q1=_signless_radius(adj))
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +254,7 @@ def _largest_real_root(p: list[int], lo: float, hi: float) -> float:
 def spectral_oracle(g: Graph) -> float:
     """Adjacency spectral radius by exact characteristic-polynomial bisection.
 
-    Independent of the power-iteration path; used to cross-validate it.
+    Independent of the eigensolve; used to cross-validate it.
     Runs per connected component and returns the maximum.
     """
     if g.n > ORACLE_MAX_N:

@@ -187,7 +187,7 @@ def test_criterion_7_oracle_agreement():
     ok = worst <= TOL and len(sample) >= 1000
     _report(7, "oracle-agreement", ok,
             f"{len(sample)} graphs (incl. {len(generators)} named generators), "
-            f"worst |power - oracle| = {worst:.2e}")
+            f"worst |eigensolve - oracle| = {worst:.2e}")
 
 
 def test_criterion_8_hong_search_evidence():

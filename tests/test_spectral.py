@@ -1,4 +1,4 @@
-"""Spectral radius: power iteration, signless Laplacian, and the exact
+"""Spectral radius: the dense eigensolve, signless Laplacian, and the exact
 characteristic-polynomial oracle."""
 
 import math
@@ -7,8 +7,10 @@ import random
 import pytest
 
 from specirr import (
+    SpectralConvergenceError,
     SpectralResult,
     adjacency_spectral_radius,
+    bound_report,
     complete,
     cycle,
     degree_stats,
@@ -22,6 +24,7 @@ from specirr import (
     star,
     subdivided_prism,
 )
+from specirr.harness import build_context
 
 # Frozen golden constants for the high subregular witness (subdivided
 # 3-prism), computed with the characteristic-polynomial oracle.
@@ -36,7 +39,7 @@ def _random_graph(rng, n, p=0.4):
 
 
 # ---------------------------------------------------------------------------
-# Power iteration
+# Adjacency radius
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
@@ -68,8 +71,8 @@ def test_disconnected_takes_component_max():
 
 
 def test_bipartite_shift_handles_oscillation():
-    # K_{3,3} has spectrum symmetric about 0; the shifted iteration must
-    # still find +3.
+    # K_{3,3} has spectrum symmetric about 0; the radius is the top
+    # eigenvalue +3, not the equally large -3.
     edges = [(i, j + 3) for i in range(3) for j in range(3)]
     g = from_edges(6, edges)
     assert abs(adjacency_spectral_radius(g).rho - 3.0) <= 1e-9
@@ -86,6 +89,24 @@ def test_result_metadata():
 def test_tolerance_validation():
     with pytest.raises(ValueError, match="positive"):
         adjacency_spectral_radius(path(3), tol=0.0)
+
+
+def test_residual_above_tolerance_raises():
+    # P4's irrational top eigenpair cannot reach a 1e-300 residual.
+    with pytest.raises(SpectralConvergenceError, match="residual"):
+        adjacency_spectral_radius(path(4), tol=1e-300)
+
+
+def test_one_evaluation_matches_the_separate_calls():
+    # spectral_summary and build_context evaluate each graph once; their
+    # values must be bit-for-bit those of the single-purpose functions.
+    graphs = [g for n in range(1, 7) for g in enumerate_graphs(n)]
+    graphs.append(from_edges(7, [(0, 1), (2, 3), (3, 4), (4, 2)]))  # K2 + K3 + 2 isolated
+    for g in graphs:
+        summary = spectral_summary(g)
+        assert summary.rho == adjacency_spectral_radius(g).rho
+        assert summary.q1 == signless_laplacian_radius(g)
+        assert bound_report(g).epsilon == build_context(g).epsilon
 
 
 def test_relabel_invariance():
