@@ -28,7 +28,7 @@ from .graphs import (
     subdivided_prism,
     to_graph6,
 )
-from .spectral import DEFAULT_TOL, SpectralConvergenceError
+from .spectral import DEFAULT_TOL, SpectralConvergenceError, check_tolerance
 from .bounds import build_context
 from .harness import (
     DEFAULT_CHECK_TOL,
@@ -305,6 +305,23 @@ def cmd_gen(args) -> int:
 # Entry point
 # ---------------------------------------------------------------------------
 
+def _tolerance(text: str) -> float:
+    try:
+        return check_tolerance(float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _job_count(text: str) -> int:
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
+    return jobs
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="specirr",
@@ -325,7 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output file (default stdout)")
     p.add_argument("--strict", action="store_true",
                    help="abort on the first unparsable line instead of skipping")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL,
+                   help="eigenvector residual bound (finite, > 0)")
     add_output_flags(p)
     p.set_defaults(fn=cmd_compute)
 
@@ -333,12 +351,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--all-graphs", action="store_true",
                    help="include disconnected graphs (default: connected only)")
-    p.add_argument("--tol", type=float, default=DEFAULT_CHECK_TOL)
+    p.add_argument("--tol", type=_tolerance, default=DEFAULT_CHECK_TOL,
+                   help="claim margin tolerance (finite, > 0)")
     p.add_argument("--only", help="comma-separated check or group names "
                                   "(groups: core, bounds, subregular, oracle)")
     p.add_argument("--violations-file", default="violations.csv",
                    help="always written, possibly empty (default violations.csv)")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_job_count, default=1)
     p.add_argument("--self-test", action="store_true",
                    help="inject a deliberately corrupted check; a healthy "
                         "pipeline must then exit 1 with violations")

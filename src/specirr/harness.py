@@ -24,7 +24,7 @@ from .graphs import (
     parse_graph6,
     to_graph6,
 )
-from .spectral import adjacency_spectral_radius, spectral_oracle
+from .spectral import adjacency_spectral_radius, check_tolerance, spectral_oracle
 from .bounds import (
     GraphContext,
     build_context,
@@ -268,6 +268,7 @@ def verify_graphs(
     checks: Mapping[str, CheckFn] | None = None,
 ) -> list[ViolationReport]:
     """Run the inequality checks on each graph; return all violations."""
+    check_tolerance(tol)
     registry = dict(checks) if checks is not None else select_checks(None)
     violations: list[ViolationReport] = []
     for g in graphs:

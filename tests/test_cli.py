@@ -172,6 +172,34 @@ def test_verify_jobs_deterministic(tmp_path, capsys):
     assert one.read_bytes() == two.read_bytes()
 
 
+@pytest.mark.parametrize("command", [
+    ["compute", "--inline", WITNESS_G6],
+    ["verify", "--n-max", "5", "--self-test"],
+])
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_tol_must_be_finite_and_positive(command, tol, tmp_path, monkeypatch, capsys):
+    # NaN or inf would pass every check; zero or negative would flag every
+    # claim.  Both are usage errors, caught before any work.
+    monkeypatch.chdir(tmp_path)  # where verify writes violations.csv
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--tol", tol])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--tol" in captured.err and "finite and positive" in captured.err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_verify_jobs_must_be_positive(jobs, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--n-max", "3", "--jobs", jobs,
+              "--violations-file", str(tmp_path / "v.csv")])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+    assert not (tmp_path / "v.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # search
 # ---------------------------------------------------------------------------

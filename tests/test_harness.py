@@ -72,6 +72,21 @@ def test_strictness_checks_fire_on_degenerate_values():
     assert any(lhs - rhs > tol for _, lhs, rhs in claims)
 
 
+def test_oracle_agreement_fires_on_a_shifted_rho():
+    # A context whose rho is off by 1e-6 must disagree with the oracle.
+    import dataclasses
+    from specirr.harness import ALL_CHECKS, build_context
+    from specirr.graphs import from_edges
+
+    paw = from_edges(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
+    ctx = build_context(paw)
+    tol = 1e-9
+    check = ALL_CHECKS["oracle-agreement"]
+    assert all(lhs - rhs <= tol for _, lhs, rhs in check(ctx, tol))
+    shifted = dataclasses.replace(ctx, rho=ctx.rho + 1e-6)
+    assert any(lhs - rhs > tol for _, lhs, rhs in check(shifted, tol))
+
+
 def test_select_checks_groups_and_names():
     sub = select_checks(["subregular"])
     assert set(sub) == {"subregular-bounds", "subregular-chain",

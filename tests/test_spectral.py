@@ -1,9 +1,10 @@
 """Spectral radius: the dense eigensolve, signless Laplacian, and the exact
-characteristic-polynomial oracle."""
+inertia-count oracle."""
 
 import math
 import random
 
+import numpy as np
 import pytest
 
 from specirr import (
@@ -24,7 +25,8 @@ from specirr import (
     star,
     subdivided_prism,
 )
-from specirr.harness import build_context
+from specirr.harness import build_context, verify_graphs
+from specirr.spectral import _adjacency_matrix, _bracket_radius, _count_above
 
 # Frozen golden constants for the high subregular witness (subdivided
 # 3-prism), computed with the characteristic-polynomial oracle.
@@ -89,6 +91,17 @@ def test_result_metadata():
 def test_tolerance_validation():
     with pytest.raises(ValueError, match="positive"):
         adjacency_spectral_radius(path(3), tol=0.0)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf])
+def test_non_finite_tolerance_rejected(tol):
+    # NaN or inf would make every residual and margin test pass.
+    with pytest.raises(ValueError, match="finite and positive"):
+        adjacency_spectral_radius(path(3), tol=tol)
+    with pytest.raises(ValueError, match="finite and positive"):
+        signless_laplacian_radius(path(3), tol=tol)
+    with pytest.raises(ValueError, match="finite and positive"):
+        verify_graphs([path(3)], tol=tol)
 
 
 def test_residual_above_tolerance_raises():
@@ -177,8 +190,8 @@ def test_oracle_witness_frozen_value():
 
 
 def test_oracle_handles_multiple_root_components():
-    # Two copies of K3: rho = 2 is a repeated root of the full
-    # characteristic polynomial; per-component isolation must not care.
+    # Two copies of K3: rho = 2 is a repeated eigenvalue; the inertia
+    # count needs no special case for it.
     g = from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
     assert abs(spectral_oracle(g) - 2.0) <= 1e-9
 
@@ -188,7 +201,7 @@ def test_oracle_cap():
         spectral_oracle(star(13))
 
 
-def test_oracle_agrees_with_power_iteration_randomly():
+def test_oracle_agrees_with_eigensolve_randomly():
     rng = random.Random(41)
     for _ in range(150):
         g = _random_graph(rng, rng.randint(1, 9), rng.choice([0.15, 0.4, 0.8]))
@@ -199,6 +212,41 @@ def test_oracle_agrees_on_all_small_classes():
     for n in range(1, 7):
         for g in enumerate_graphs(n):
             assert abs(spectral_oracle(g) - adjacency_spectral_radius(g).rho) <= 1e-9
+
+
+def test_count_above_matches_eigensolve():
+    # Points on the 2^-41 grid just either side of every integer in range
+    # (the integer eigenvalues of K_n, C_n, 2K3 and edgeless graphs among
+    # them), at half-integers, and at seeded random grid points.
+    rng = random.Random(53)
+    graphs = [g for n in range(1, 7) for g in enumerate_graphs(n)]
+    graphs += [complete(n) for n in range(7, 10)] + [cycle(n) for n in range(7, 10)]
+    graphs.append(from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]))
+    one = 1 << 41
+    for g in graphs:
+        values = np.linalg.eigvalsh(_adjacency_matrix(g))
+        points = [i * one + d for i in range(-g.n, g.n + 1) for d in (-1, 1)]
+        points += [i * one + one // 2 + 1 for i in range(-g.n, g.n)]
+        points += [2 * rng.randrange(-g.n * one, g.n * one) + 1 for _ in range(4)]
+        for num in points:
+            expected = int(np.sum(values > num / one))
+            assert _count_above(g.neighbor_masks, g.n, num) == expected, (g, num)
+
+
+def test_oracle_search_recovers_from_wrong_seeds():
+    # A wrong estimate costs counts, never correctness: every seed must
+    # land on the same bracket as the oracle's own.
+    rng = random.Random(59)
+    graphs = [_random_graph(rng, rng.randint(1, 9), rng.choice([0.15, 0.4, 0.8]))
+              for _ in range(30)]
+    graphs.append(from_edges(9, [(0, 1), (2, 3), (3, 4), (4, 2), (5, 6)]))  # disconnected
+    for g in graphs:
+        rho = float(np.linalg.eigvalsh(_adjacency_matrix(g))[-1])
+        oracle = spectral_oracle(g)
+        for estimate in (rho + 1e-6, rho - 0.7, 0.0, 50.0, -3.0):
+            found = _bracket_radius(g.neighbor_masks, g.n, estimate)
+            assert found == oracle
+            assert abs(found - rho) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
