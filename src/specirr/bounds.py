@@ -170,20 +170,23 @@ class LiuLiuCheck:
     margin_2m_dmax: float
 
 
+def _liu_liu(s: DegreeStats, q1: float) -> tuple[tuple[int, float], tuple[int, int]]:
+    """(lhs, rhs) of sum d^2 <= m * q1 and of sum d^2 <= 2 m Dmax."""
+    return (s.sum_sq_degrees, s.m * q1), (s.sum_sq_degrees, 2 * s.m * s.max_degree)
+
+
 def liu_liu_check(s: DegreeStats, q1: float, tol: float = 1e-9) -> LiuLiuCheck:
-    """Check sum d^2 <= m * q1 and sum d^2 <= 2 m Dmax, with margins.
+    """Check sum d^2 <= m * q1 (within tol) and sum d^2 <= 2 m Dmax (exactly).
 
     Margins are rhs - lhs (nonnegative means the inequality holds).
     """
     if s.m == 0:
         raise ValueError("Liu-Liu inequalities require at least one edge")
-    lhs = s.sum_sq_degrees
-    margin_q = s.m * q1 - lhs
-    margin_d = 2 * s.m * s.max_degree - lhs
+    margin_q, margin_d = (rhs - lhs for lhs, rhs in _liu_liu(s, q1))
     return LiuLiuCheck(
         sum_sq_le_m_q1=margin_q >= -tol,
         margin_m_q1=margin_q,
-        sum_sq_le_2m_dmax=margin_d >= -tol,
+        sum_sq_le_2m_dmax=margin_d >= 0,
         margin_2m_dmax=float(margin_d),
     )
 

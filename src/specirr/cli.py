@@ -13,6 +13,8 @@ import csv
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict
+from itertools import repeat
 from typing import Sequence
 
 from .graphs import (
@@ -33,8 +35,8 @@ from .bounds import build_context
 from .harness import (
     DEFAULT_CHECK_TOL,
     SEARCH_CAP,
+    Claim,
     SearchRecord,
-    ViolationReport,
     bell_max_search,
     hong_search,
     select_checks,
@@ -155,7 +157,7 @@ def _read_graph6_lines(source: str | None, inline: list[str]) -> list[tuple[int,
 def cmd_compute(args) -> int:
     try:
         lines = _read_graph6_lines(args.input, args.inline)
-    except (OSError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     rows = []
@@ -179,59 +181,46 @@ def cmd_compute(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def _violation_row(v: ViolationReport) -> dict:
-    return {
-        "check": v.check_name,
-        "graph6": v.graph6,
-        "canonical": v.canonical,
-        "lhs": v.lhs,
-        "rhs": v.rhs,
-        "margin": v.margin,
-        "tolerance": v.tolerance,
-    }
-
-
 def _corrupted_check(ctx, tol):
     # Deliberately false inequality for the --self-test fixture: a clean
-    # pipeline must flag it on every graph with positive degree variance.
-    return [("self-test-corrupted", ctx.report.main * 10.0 + tol * 2, ctx.epsilon)]
-
-
-def _verify_worker(payload: tuple[list[str], float, tuple[str, ...] | None, bool]) -> list[ViolationReport]:
-    lines, tol, names, self_test = payload
-    checks = dict(select_checks(names))
-    if self_test:
-        checks["self-test-corrupted"] = _corrupted_check
-    return verify_graphs((parse_graph6(s) for s in lines), tol, checks)
+    # pipeline flags it on every graph of the corpus (all of them through
+    # n = 7, regular ones through the -tol slack).
+    return [Claim("self-test-corrupted", ctx.report.main * 10.0, ctx.epsilon, -tol)]
 
 
 def cmd_verify(args) -> int:
     if not 1 <= args.n_max <= ENUMERATION_CAP:
         print(f"error: --n-max must be in 1..{ENUMERATION_CAP}", file=sys.stderr)
         return EXIT_USAGE
-    names = tuple(args.only.split(",")) if args.only else None
     try:
-        select_checks(names)
+        checks = select_checks(args.only.split(",") if args.only else None)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    lines = [
-        to_graph6(g)
-        for n in range(1, args.n_max + 1)
-        for g in enumerate_graphs(n, connected_only=not args.all_graphs)
-    ]
+    if args.self_test:
+        checks["self-test-corrupted"] = _corrupted_check
+    checked = 0
+
+    def corpus():
+        nonlocal checked
+        for n in range(1, args.n_max + 1):
+            for g in enumerate_graphs(n, connected_only=not args.all_graphs):
+                checked += 1
+                yield g
+
     if args.jobs > 1:
-        chunks = [lines[i::args.jobs] for i in range(args.jobs) if lines[i::args.jobs]]
-        payloads = [(c, args.tol, names, args.self_test) for c in chunks]
+        graphs = list(corpus())
+        chunks = [graphs[i::args.jobs] for i in range(args.jobs)]
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = pool.map(_verify_worker, payloads)
+            results = pool.map(verify_graphs, chunks, repeat(args.tol), repeat(checks))
         violations = [v for part in results for v in part]
     else:
-        violations = _verify_worker((lines, args.tol, names, args.self_test))
+        # Streamed, so each Graph is freed once it is checked.
+        violations = verify_graphs(corpus(), args.tol, checks)
     violations.sort(key=lambda v: (v.graph6, v.check_name))
-    rows = [_violation_row(v) for v in violations]
+    rows = [{"check": v.check_name, **asdict(v)} for v in violations]
     _write_output(rows, VIOLATION_COLUMNS, args.format, args.precision, args.violations_file)
-    print(f"checked {len(lines)} graphs, {len(violations)} violations", file=sys.stderr)
+    print(f"checked {checked} graphs, {len(violations)} violations", file=sys.stderr)
     return EXIT_VIOLATIONS if violations else EXIT_OK
 
 
@@ -293,11 +282,11 @@ def cmd_search(args) -> int:
 
 def cmd_gen(args) -> int:
     try:
-        g = GENERATORS[args.family](args.size)
+        line = to_graph6(GENERATORS[args.family](args.size))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    print(to_graph6(g))
+    print(line)
     return EXIT_OK
 
 
@@ -352,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all-graphs", action="store_true",
                    help="include disconnected graphs (default: connected only)")
     p.add_argument("--tol", type=_tolerance, default=DEFAULT_CHECK_TOL,
-                   help="claim margin tolerance (finite, > 0)")
+                   help="slack of floating-point claims (finite, > 0)")
     p.add_argument("--only", help="comma-separated check or group names "
                                   "(groups: core, bounds, subregular, oracle)")
     p.add_argument("--violations-file", default="violations.csv",
@@ -392,6 +381,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SpectralConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NON_CONVERGENCE
+    except OSError as exc:
+        # An unreadable input or unwritable output path is an input error.
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

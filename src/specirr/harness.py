@@ -1,18 +1,19 @@
 """Corpus-wide bound verification, extremal searches, and monotonicity grids.
 
 verify_corpus enumerates every isomorphism class up to a vertex cap and
-runs each registered inequality check on each graph, emitting a
-ViolationReport per failure; a clean run returns an empty list.  The
-searches scan connected classes for the smallest (Hong's question) and the
-largest irregularity at fixed (n, m), recording outcomes without asserting
-them: the minimal-gap question is open and the harness gathers evidence.
+runs each registered inequality check on each graph; verify_graphs reports
+every Claim whose lhs - rhs exceeds its own slack as a ViolationReport, and
+a clean run returns an empty list.  The searches scan connected classes for
+the smallest (Hong's question) and the largest irregularity at fixed
+(n, m), recording outcomes without asserting them: the minimal-gap
+question is open and the harness gathers evidence.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .graphs import (
     ENUMERATION_CAP,
@@ -24,10 +25,12 @@ from .graphs import (
     parse_graph6,
     to_graph6,
 )
-from .spectral import adjacency_spectral_radius, check_tolerance, spectral_oracle
+from .spectral import check_tolerance, spectral_oracle
 from .bounds import (
     GraphContext,
+    _liu_liu,
     build_context,
+    epsilon,
     l_high_exact,
     l_low_exact,
     l_high_two_term_exact,
@@ -46,10 +49,10 @@ SEARCH_CAP = 8
 
 @dataclass(frozen=True)
 class ViolationReport:
-    """One failed inequality on one graph.
+    """One failed claim lhs <= rhs on one graph.
 
-    lhs and rhs are oriented so the claim was lhs <= rhs; margin = lhs - rhs
-    exceeds the tolerance in a genuine violation.
+    tolerance is the claim's slack, which margin = lhs - rhs exceeds; the
+    margin is taken on the claim's exact sides, then converted to float.
     """
 
     graph6: str
@@ -61,80 +64,79 @@ class ViolationReport:
     tolerance: float
 
 
-CheckFn = Callable[[GraphContext, float], list[tuple[str, float, float]]]
+class Claim(NamedTuple):
+    """The inequality lhs <= rhs, violated exactly when lhs - rhs > slack.
+
+    slack is the verify tolerance for floating-point sides, 0 for integer
+    or Fraction sides (compared exactly), and negative for a strict claim.
+    """
+
+    name: str
+    lhs: float | Fraction
+    rhs: float | Fraction
+    slack: float
 
 
-def _le(name: str, lhs: float, rhs: float) -> tuple[str, float, float]:
-    return (name, lhs, rhs)
+CheckFn = Callable[[GraphContext, float], list[Claim]]
 
-
-# Each check returns claims of the form lhs <= rhs (checked with tolerance).
 
 def _check_cs_lower(ctx: GraphContext, tol: float):
-    return [_le("cs-lower", ctx.stats.avg_degree_float, ctx.rho)]
+    return [Claim("cs-lower", ctx.stats.avg_degree_float, ctx.rho, tol)]
 
 
 def _check_cs_equality(ctx: GraphContext, tol: float):
-    gap = ctx.rho - ctx.stats.avg_degree_float
+    avg = ctx.stats.avg_degree_float
     if ctx.regularity is RegularityClass.REGULAR:
-        return [_le("cs-equality", abs(gap), 0.0)]
-    # Non-regular graphs must sit strictly above the average degree; the
-    # claim is framed so the report fires exactly when gap < tol.
-    return [_le("cs-equality", 2 * tol, gap)]
+        return [Claim("cs-equality", abs(ctx.rho - avg), 0.0, tol)]
+    # Non-regular graphs sit strictly above the average degree.
+    return [Claim("cs-equality", avg, ctx.rho, -tol)]
 
 
 def _check_epsilon_sign(ctx: GraphContext, tol: float):
-    return [_le("epsilon-nonnegative", -ctx.epsilon, 0.0)]
+    return [Claim("epsilon-nonnegative", -ctx.epsilon, 0.0, tol)]
 
 
 def _check_variance_sandwich(ctx: GraphContext, tol: float):
-    # Compared exactly in rational arithmetic; the emitted claim keeps the
-    # true endpoint values but pads the margin so the report always fires.
     s = ctx.stats
     gap = s.max_degree - s.min_degree
-    lo = Fraction(gap * gap, 2 * s.n)
-    hi = Fraction(gap * gap, 4)
-    out = []
-    if s.variance < lo:
-        out.append(_le("variance-sandwich-lower", float(lo), float(s.variance) - 2 * tol))
-    if s.variance > hi:
-        out.append(_le("variance-sandwich-upper", float(s.variance), float(hi) - 2 * tol))
-    return out
+    return [
+        Claim("variance-sandwich-lower", Fraction(gap * gap, 2 * s.n), s.variance, 0),
+        Claim("variance-sandwich-upper", s.variance, Fraction(gap * gap, 4), 0),
+    ]
 
 
 def _check_nikiforov(ctx: GraphContext, tol: float):
-    return [_le("nikiforov", ctx.report.nikiforov, ctx.epsilon)]
+    return [Claim("nikiforov", ctx.report.nikiforov, ctx.epsilon, tol)]
 
 
 def _check_main(ctx: GraphContext, tol: float):
-    return [_le("main", ctx.report.main, ctx.epsilon)]
+    return [Claim("main", ctx.report.main, ctx.epsilon, tol)]
 
 
 def _check_dominance(ctx: GraphContext, tol: float):
-    claims = [_le("dominance", ctx.report.nikiforov, ctx.report.main)]
+    nikiforov, main = ctx.report.nikiforov, ctx.report.main
+    claims = [Claim("dominance", nikiforov, main, tol)]
     if ctx.stats.variance > 0:
-        # Strictly better whenever the degrees are not all equal; framed so
-        # the report fires exactly when the margin drops to TIE_TOL or less.
-        diff = ctx.report.main - ctx.report.nikiforov
-        claims.append(_le("dominance-strict", tol + TIE_TOL, diff))
+        # Strictly better whenever the degrees are not all equal.
+        claims.append(Claim("dominance-strict", nikiforov, main, -TIE_TOL))
     return claims
 
 
 def _check_cg_degree(ctx: GraphContext, tol: float):
-    return [_le("cg-degree", ctx.report.cg_degree, ctx.epsilon)]
+    return [Claim("cg-degree", ctx.report.cg_degree, ctx.epsilon, tol)]
 
 
 def _check_cgs(ctx: GraphContext, tol: float):
     if ctx.report.cgs is None:
         return []
-    return [_le("cgs", ctx.report.cgs, ctx.epsilon)]
+    return [Claim("cgs", ctx.report.cgs, ctx.epsilon, tol)]
 
 
 def _check_hofmeister(ctx: GraphContext, tol: float):
     hof = ctx.report.hofmeister_lb
     return [
-        _le("hofmeister", hof, ctx.rho),
-        _le("hofmeister-chain", ctx.stats.avg_degree_float, hof),
+        Claim("hofmeister", hof, ctx.rho, tol),
+        Claim("hofmeister-chain", ctx.stats.avg_degree_float, hof, tol),
     ]
 
 
@@ -143,38 +145,39 @@ def _check_yu_lu_tian(ctx: GraphContext, tol: float):
     if ylt is None:
         return []
     return [
-        _le("yu-lu-tian", ylt, ctx.rho),
-        _le("yu-lu-tian-chain", ctx.stats.avg_degree_float, ylt),
+        Claim("yu-lu-tian", ylt, ctx.rho, tol),
+        Claim("yu-lu-tian-chain", ctx.stats.avg_degree_float, ylt, tol),
     ]
 
 
 def _check_hong_shu_fang(ctx: GraphContext, tol: float):
     if ctx.report.hsf_ub is None:
         return []
-    return [_le("hong-shu-fang", ctx.rho, ctx.report.hsf_ub)]
+    return [Claim("hong-shu-fang", ctx.rho, ctx.report.hsf_ub, tol)]
 
 
 def _check_liu_liu(ctx: GraphContext, tol: float):
     s = ctx.stats
     if s.m == 0:
         return []
+    (sum_sq, m_q1), (_, two_m_dmax) = _liu_liu(s, ctx.q1)
     return [
-        _le("liu-liu-q1", s.sum_sq_degrees, s.m * ctx.q1),
-        _le("liu-liu-degree", s.sum_sq_degrees, 2 * s.m * s.max_degree),
-        _le("q1-max-degree", ctx.q1, 2 * s.max_degree),
+        Claim("liu-liu-q1", sum_sq, m_q1, tol),
+        Claim("liu-liu-degree", sum_sq, two_m_dmax, 0),
+        Claim("q1-max-degree", ctx.q1, 2 * s.max_degree, tol),
     ]
 
 
 def _check_rho_max_degree(ctx: GraphContext, tol: float):
-    return [_le("rho-max-degree", ctx.rho, ctx.stats.max_degree)]
+    return [Claim("rho-max-degree", ctx.rho, ctx.stats.max_degree, tol)]
 
 
 def _check_subregular_bounds(ctx: GraphContext, tol: float):
     out = []
     if ctx.report.sub_high is not None:
-        out.append(_le("subregular-high", ctx.report.sub_high, ctx.epsilon))
+        out.append(Claim("subregular-high", ctx.report.sub_high, ctx.epsilon, tol))
     if ctx.report.sub_low is not None:
-        out.append(_le("subregular-low", ctx.report.sub_low, ctx.epsilon))
+        out.append(Claim("subregular-low", ctx.report.sub_low, ctx.epsilon, tol))
     return out
 
 
@@ -185,26 +188,26 @@ def _check_subregular_chain(ctx: GraphContext, tol: float):
         return []
     n, dmax = ctx.stats.n, ctx.stats.max_degree
     lhs = float(l_high_exact(n, dmax)) / (2 * dmax)
-    return [_le("subregular-high-chain", lhs, ctx.epsilon)]
+    return [Claim("subregular-high-chain", lhs, ctx.epsilon, tol)]
 
 
 def _check_subregular_delta_cap(ctx: GraphContext, tol: float):
     # A high subregular graph cannot have a dominating vertex.
     if ctx.regularity is not RegularityClass.HIGH_SUBREGULAR:
         return []
-    return [_le("subregular-delta-cap", ctx.stats.max_degree, ctx.stats.n - 2)]
+    return [Claim("subregular-delta-cap", ctx.stats.max_degree, ctx.stats.n - 2, 0)]
 
 
 def _check_low_subregular_rho_cap(ctx: GraphContext, tol: float):
     if ctx.regularity is not RegularityClass.LOW_SUBREGULAR or not ctx.connected:
         return []
     cap = low_subregular_rho_upper(ctx.stats.max_degree)
-    return [_le("low-subregular-rho-cap", ctx.rho, cap)]
+    return [Claim("low-subregular-rho-cap", ctx.rho, cap, tol)]
 
 
 def _check_oracle_agreement(ctx: GraphContext, tol: float):
     oracle = spectral_oracle(ctx.graph)
-    return [_le("oracle-agreement", abs(ctx.rho - oracle), 0.0)]
+    return [Claim("oracle-agreement", abs(ctx.rho - oracle), 0.0, tol)]
 
 
 CHECK_GROUPS: dict[str, tuple[str, ...]] = {
@@ -274,18 +277,19 @@ def verify_graphs(
     for g in graphs:
         ctx = build_context(g)
         failed = [
-            (name, lhs, rhs)
+            (name, lhs, rhs, slack)
             for fn in registry.values()
-            for name, lhs, rhs in fn(ctx, tol)
-            if lhs - rhs > tol
+            for name, lhs, rhs, slack in fn(ctx, tol)
+            if lhs - rhs > slack
         ]
         if not failed:
             continue
         graph6, canonical = to_graph6(g), canonical_form(g).hex()
         violations.extend(
             ViolationReport(graph6=graph6, canonical=canonical, check_name=name,
-                            lhs=lhs, rhs=rhs, margin=lhs - rhs, tolerance=tol)
-            for name, lhs, rhs in failed
+                            lhs=float(lhs), rhs=float(rhs), margin=float(lhs - rhs),
+                            tolerance=float(slack))
+            for name, lhs, rhs, slack in failed
         )
     return violations
 
@@ -329,17 +333,13 @@ class SearchRecord:
     ties: tuple[tuple[str, int], ...]
 
 
-def _epsilon_of(g: Graph) -> float:
-    return adjacency_spectral_radius(g).rho - 2 * g.m / g.n
-
-
 def _search_cell(n: int, m: int, objective: str, include_regular: bool) -> SearchRecord | None:
     best: list[tuple[Graph, float]] = []
     sign = 1.0 if objective == "min" else -1.0
     for g in enumerate_graphs(n, m=m, connected_only=True):
         if not include_regular and classify(g) is RegularityClass.REGULAR:
             continue
-        eps = _epsilon_of(g)
+        eps = epsilon(g)
         if not best:
             best = [(g, eps)]
             continue
@@ -441,4 +441,4 @@ def l_monotonicity_grid(n_min: int = 7, n_max: int = 60) -> dict:
 
 def reevaluate_record(record: SearchRecord) -> float:
     """Recompute the irregularity of a stored record's graph6 string."""
-    return _epsilon_of(parse_graph6(record.graph6))
+    return epsilon(parse_graph6(record.graph6))

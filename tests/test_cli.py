@@ -264,6 +264,34 @@ def test_gen_invalid_size(capsys):
     assert "n >= 3" in err
 
 
+@pytest.mark.parametrize("family,size", [("prism", 40), ("complete", 70)])
+def test_gen_beyond_graph6_cap(family, size, capsys):
+    code, out, err = run_cli(["gen", family, str(size)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "n <= 62" in err
+
+
+# ---------------------------------------------------------------------------
+# Unwritable output paths
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("command", [
+    ["compute", "--inline", WITNESS_G6, "--out", "missing/dir/x.csv"],
+    ["verify", "--n-max", "3", "--violations-file", "missing/dir/v.csv"],
+    ["search", "--hong", "--n", "4", "--out", "missing/x.csv"],
+])
+def test_unwritable_output_is_usage_error(command, tmp_path, monkeypatch, capsys):
+    # Exit 1 means "violations found"; a path that cannot be written is
+    # an input error: one error line, exit 2.
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(command, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "missing/" in err
+    assert len(err.splitlines()) == 1
+
+
 # ---------------------------------------------------------------------------
 # Exit-code wiring for numerical failures
 # ---------------------------------------------------------------------------

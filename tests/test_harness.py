@@ -1,6 +1,8 @@
 """Verification harness: corpus sweeps, check injection, searches, grids."""
 
+import dataclasses
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -13,8 +15,16 @@ from specirr import (
     verify_graphs,
 )
 from specirr.bounds import l_high_exact
-from specirr.graphs import enumerate_graphs
-from specirr.harness import reevaluate_record, select_checks
+from specirr.graphs import enumerate_graphs, from_edges, subdivided_prism
+from specirr.harness import (
+    ALL_CHECKS,
+    Claim,
+    build_context,
+    reevaluate_record,
+    select_checks,
+)
+
+PAW = from_edges(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
 
 
 # ---------------------------------------------------------------------------
@@ -40,7 +50,7 @@ def test_corrupted_check_is_detected():
     # Harness self-test: a deliberately broken inequality must produce
     # violations with the right metadata.
     def corrupted(ctx, tol):
-        return [("corrupted-main", ctx.report.main * 10.0, ctx.epsilon)]
+        return [Claim("corrupted-main", ctx.report.main * 10.0, ctx.epsilon, tol)]
 
     violations = verify_corpus(4, checks={"corrupted-main": corrupted})
     assert violations
@@ -53,38 +63,62 @@ def test_corrupted_check_is_detected():
 def test_strictness_checks_fire_on_degenerate_values():
     # Tampered contexts: equal bounds must trip dominance-strict, and a
     # non-regular graph pinned at the average degree must trip cs-equality.
-    import dataclasses
-    from specirr.harness import ALL_CHECKS, build_context
-    from specirr.graphs import from_edges
-
-    paw = from_edges(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
-    ctx = build_context(paw)
+    ctx = build_context(PAW)
     tol = 1e-9
 
     flattened = dataclasses.replace(
         ctx, report=dataclasses.replace(ctx.report, main=ctx.report.nikiforov))
     claims = ALL_CHECKS["dominance"](flattened, tol)
-    assert any(name == "dominance-strict" and lhs - rhs > tol
-               for name, lhs, rhs in claims)
+    assert any(name == "dominance-strict" and lhs - rhs > slack
+               for name, lhs, rhs, slack in claims)
 
     pinned = dataclasses.replace(ctx, rho=ctx.stats.avg_degree_float)
     claims = ALL_CHECKS["cs-equality"](pinned, tol)
-    assert any(lhs - rhs > tol for _, lhs, rhs in claims)
+    assert any(lhs - rhs > slack for _, lhs, rhs, slack in claims)
 
 
 def test_oracle_agreement_fires_on_a_shifted_rho():
     # A context whose rho is off by 1e-6 must disagree with the oracle.
-    import dataclasses
-    from specirr.harness import ALL_CHECKS, build_context
-    from specirr.graphs import from_edges
-
-    paw = from_edges(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
-    ctx = build_context(paw)
+    ctx = build_context(PAW)
     tol = 1e-9
     check = ALL_CHECKS["oracle-agreement"]
-    assert all(lhs - rhs <= tol for _, lhs, rhs in check(ctx, tol))
+    assert all(lhs - rhs <= slack for _, lhs, rhs, slack in check(ctx, tol))
     shifted = dataclasses.replace(ctx, rho=ctx.rho + 1e-6)
-    assert any(lhs - rhs > tol for _, lhs, rhs in check(shifted, tol))
+    assert any(lhs - rhs > slack for _, lhs, rhs, slack in check(shifted, tol))
+
+
+def _tampered_witness(**stats):
+    ctx = build_context(subdivided_prism(3))  # n=7, m=10, Dmax=3, var=6/49
+    return dataclasses.replace(ctx, stats=dataclasses.replace(ctx.stats, **stats))
+
+
+EXACT_TAMPERS = {
+    # A dominating vertex: Dmax = n - 1 > n - 2.
+    "subregular-delta-cap": ("subregular-delta-cap", dict(max_degree=6)),
+    # sum d^2 = 2 m Dmax + 1 = 61 > 60.
+    "liu-liu-degree": ("liu-liu", dict(sum_sq_degrees=61)),
+    # Just outside the endpoints (3-2)^2/14 and (3-2)^2/4.
+    "variance-sandwich-lower": ("variance-sandwich",
+                                dict(variance=Fraction(1, 14) - Fraction(1, 10**15))),
+    "variance-sandwich-upper": ("variance-sandwich",
+                                dict(variance=Fraction(1, 4) + Fraction(1, 10**15))),
+}
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1.0, 2.0])
+@pytest.mark.parametrize("claim", sorted(EXACT_TAMPERS))
+def test_exact_claims_fire_at_any_tolerance(claim, tol):
+    # Integer and rational sides are compared exactly, so a violation by
+    # 1 (or by 1e-15) is reported however large --tol is.
+    check, stats = EXACT_TAMPERS[claim]
+    witness = subdivided_prism(3)
+    assert verify_graphs([witness], tol, {check: ALL_CHECKS[check]}) == []
+    tampered = _tampered_witness(**stats)
+    violations = verify_graphs([witness], tol, {
+        check: lambda ctx, t: ALL_CHECKS[check](tampered, t)})
+    fired = [v for v in violations if v.check_name == claim]
+    assert len(fired) == 1
+    assert fired[0].tolerance == 0.0 and fired[0].margin > 0
 
 
 def test_select_checks_groups_and_names():
