@@ -154,10 +154,10 @@ def low_subregular_rho_upper(dmax: int) -> float:
 # Degree-variance sandwich and signless-Laplacian checks
 # ---------------------------------------------------------------------------
 
-def variance_sandwich(s: DegreeStats) -> tuple[float, float]:
-    """Popoviciu/Nagy endpoints: (Dmax-Dmin)^2/(2n) <= var <= (Dmax-Dmin)^2/4."""
+def variance_sandwich(s: DegreeStats) -> tuple[Fraction, Fraction]:
+    """Exact Popoviciu/Nagy endpoints (Dmax-Dmin)^2/(2n) <= var <= (Dmax-Dmin)^2/4."""
     gap = s.max_degree - s.min_degree
-    return gap * gap / (2.0 * s.n), gap * gap / 4.0
+    return Fraction(gap * gap, 2 * s.n), Fraction(gap * gap, 4)
 
 
 @dataclass(frozen=True)
@@ -338,7 +338,7 @@ def _report(s: DegreeStats, cls: RegularityClass, connected: bool, rho: float) -
         else:
             ylt = _yu_lu_tian(s)
 
-    var_lb, var_ub = variance_sandwich(s)
+    var_lb, var_ub = map(float, variance_sandwich(s))
     return BoundReport(
         epsilon=eps,
         nikiforov=nikiforov_bound(s),

@@ -19,6 +19,7 @@ from typing import Sequence
 
 from .graphs import (
     ENUMERATION_CAP,
+    GRAPH6_MAX_N,
     Graph,
     complete,
     cycle,
@@ -71,12 +72,12 @@ GENERATORS = {
 # Row assembly and emission
 # ---------------------------------------------------------------------------
 
-def report_row(g: Graph, tol: float = DEFAULT_TOL) -> dict:
-    """One output row: exact integers, decimals, and every bound column."""
+def report_row(g: Graph, graph6: str, tol: float = DEFAULT_TOL) -> dict:
+    """One row for g, parsed from canonical graph6 text: integers, decimals, every bound."""
     ctx = build_context(g, tol)
     s, rep = ctx.stats, ctx.report
     return {
-        "graph6": to_graph6(g),
+        "graph6": graph6,
         "n": s.n,
         "m": s.m,
         "max_degree": s.max_degree,
@@ -162,17 +163,17 @@ def cmd_compute(args) -> int:
         return EXIT_USAGE
     rows = []
     for lineno, text in lines:
-        stripped = text.strip()
-        if not stripped or stripped == ">>graph6<<":
+        graph6 = text.strip().removeprefix(">>graph6<<")
+        if not graph6:
             continue
         try:
-            g = parse_graph6(stripped)
+            g = parse_graph6(text)
         except ValueError as exc:
             print(f"line {lineno}: {exc}", file=sys.stderr)
             if args.strict:
                 return EXIT_USAGE
             continue
-        rows.append(report_row(g, args.tol))
+        rows.append(report_row(g, graph6, args.tol))
     _write_output(rows, REPORT_COLUMNS, args.format, args.precision, args.out)
     return EXIT_OK
 
@@ -193,7 +194,7 @@ def cmd_verify(args) -> int:
         print(f"error: --n-max must be in 1..{ENUMERATION_CAP}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        checks = select_checks(args.only.split(",") if args.only else None)
+        checks = select_checks(None if args.only is None else args.only.split(","))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -282,6 +283,8 @@ def cmd_search(args) -> int:
 
 def cmd_gen(args) -> int:
     try:
+        if args.size > GRAPH6_MAX_N:  # every family has >= size vertices: do not build it
+            raise ValueError(f"graph6 supports n <= {GRAPH6_MAX_N}, got size {args.size}")
         line = to_graph6(GENERATORS[args.family](args.size))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

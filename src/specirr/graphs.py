@@ -191,31 +191,28 @@ class DegreeStats:
 
 
 def degree_stats(g: Graph) -> DegreeStats:
-    """Compute degree statistics, with the variance taken definitionally.
+    """Compute degree statistics in one exact pass.
 
-    The mean-of-squares identity variance form is recomputed internally and
-    must agree exactly (both sides are rationals).
+    The variance is the rational (n * sum d^2 - (2m)^2) / n^2, equal to the
+    mean squared deviation from 2m/n; two-degrees are summed over the edges.
     """
     degs = g.degrees
     n, m = g.n, g.m
-    avg = Fraction(2 * m, n)
     sum_sq = sum(d * d for d in degs)
-    variance = sum((Fraction(d) - avg) ** 2 for d in degs) / n
-    identity_form = Fraction(sum_sq, n) - avg * avg
-    if variance != identity_form:
-        raise AssertionError("degree variance identity violated")
-    masks = g.neighbor_masks
-    two = tuple(sum(degs[u] for u in range(n) if (masks[v] >> u) & 1) for v in range(n))
+    two = [0] * n
+    for u, v in g.edges:
+        two[u] += degs[v]
+        two[v] += degs[u]
     return DegreeStats(
         n=n,
         m=m,
         degrees=degs,
-        avg_degree=avg,
+        avg_degree=Fraction(2 * m, n),
         max_degree=max(degs),
         min_degree=min(degs),
         sum_sq_degrees=sum_sq,
-        variance=variance,
-        two_degrees=two,
+        variance=Fraction(n * sum_sq - 4 * m * m, n * n),
+        two_degrees=tuple(two),
     )
 
 

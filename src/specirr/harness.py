@@ -11,8 +11,10 @@ question is open and the harness gathers evidence.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .graphs import (
@@ -36,6 +38,7 @@ from .bounds import (
     l_high_two_term_exact,
     l_low_two_term_exact,
     low_subregular_rho_upper,
+    variance_sandwich,
 )
 
 DEFAULT_CHECK_TOL = 1e-9
@@ -97,11 +100,10 @@ def _check_epsilon_sign(ctx: GraphContext, tol: float):
 
 
 def _check_variance_sandwich(ctx: GraphContext, tol: float):
-    s = ctx.stats
-    gap = s.max_degree - s.min_degree
+    lower, upper = variance_sandwich(ctx.stats)
     return [
-        Claim("variance-sandwich-lower", Fraction(gap * gap, 2 * s.n), s.variance, 0),
-        Claim("variance-sandwich-upper", s.variance, Fraction(gap * gap, 4), 0),
+        Claim("variance-sandwich-lower", lower, ctx.stats.variance, 0),
+        Claim("variance-sandwich-upper", ctx.stats.variance, upper, 0),
     ]
 
 
@@ -333,17 +335,13 @@ class SearchRecord:
     ties: tuple[tuple[str, int], ...]
 
 
-def _search_cell(n: int, m: int, objective: str, include_regular: bool) -> SearchRecord | None:
+def _search_cell(graphs: Iterable[Graph], objective: str) -> SearchRecord | None:
+    """Extremal record of one (n, m) cell's graphs, n and m read from the winner."""
     best: list[tuple[Graph, float]] = []
     sign = 1.0 if objective == "min" else -1.0
-    for g in enumerate_graphs(n, m=m, connected_only=True):
-        if not include_regular and classify(g) is RegularityClass.REGULAR:
-            continue
+    for g in graphs:
         eps = epsilon(g)
-        if not best:
-            best = [(g, eps)]
-            continue
-        delta = sign * (eps - best[0][1])
+        delta = sign * (eps - best[0][1]) if best else -math.inf
         if delta < -TIE_TOL:
             best = [(g, eps)]
         elif delta <= TIE_TOL:
@@ -353,8 +351,8 @@ def _search_cell(n: int, m: int, objective: str, include_regular: bool) -> Searc
     ties = tuple((to_graph6(g), max(g.degrees) - min(g.degrees)) for g, _ in best)
     return SearchRecord(
         objective=objective,
-        n=n,
-        m=m,
+        n=best[0][0].n,
+        m=best[0][0].m,
         graph6=ties[0][0],
         epsilon=best[0][1],
         degree_gap=ties[0][1],
@@ -373,10 +371,10 @@ def hong_search(n_values: Iterable[int]) -> list[SearchRecord]:
     for n in n_values:
         if not 2 <= n <= SEARCH_CAP:
             raise ValueError(f"search capped at 2 <= n <= {SEARCH_CAP}, got {n}")
-        for m in range(n - 1, n * (n - 1) // 2 + 1):
-            record = _search_cell(n, m, "min", include_regular=False)
-            if record is not None:
-                records.append(record)
+        # Classes arrive sorted by edge count: each run of equal m is one cell.
+        irregular = (g for g in enumerate_graphs(n, connected_only=True)
+                     if classify(g) is not RegularityClass.REGULAR)
+        records.extend(_search_cell(cell, "min") for _, cell in groupby(irregular, lambda g: g.m))
     return records
 
 
@@ -384,7 +382,7 @@ def bell_max_search(n: int, m: int) -> SearchRecord:
     """Maximal-irregularity connected graph with n vertices and m edges."""
     if not 2 <= n <= SEARCH_CAP:
         raise ValueError(f"search capped at 2 <= n <= {SEARCH_CAP}, got {n}")
-    record = _search_cell(n, m, "max", include_regular=True)
+    record = _search_cell(enumerate_graphs(n, m=m, connected_only=True), "max")
     if record is None:
         raise ValueError(f"no connected graph with n={n}, m={m}")
     return record

@@ -235,9 +235,11 @@ def test_variance_sandwich_regular():
 
 def test_variance_sandwich_witness():
     lo, hi = variance_sandwich(WITNESS_STATS)
-    assert lo == pytest.approx(1 / 14, abs=1e-15)
-    assert hi == 0.25
-    assert lo <= 6 / 49 <= hi
+    assert (lo, hi) == (Fraction(1, 14), Fraction(1, 4))  # exact, not rounded
+    assert lo <= WITNESS_STATS.variance == Fraction(6, 49) <= hi
+    # The report's float columns are the correctly rounded endpoints.
+    rep = bound_report(WITNESS)
+    assert (rep.var_lb, rep.var_ub) == (1 / 14, 0.25)
 
 
 def test_liu_liu_tight_on_cycle():

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import specirr
-from specirr import parse_graph6, subdivided_prism, to_graph6
+from specirr import from_edges, parse_graph6, subdivided_prism, to_graph6
 from specirr.cli import REPORT_COLUMNS, main
 
 WITNESS_G6 = to_graph6(subdivided_prism(3))
@@ -81,6 +82,25 @@ def test_compute_strict_aborts(tmp_path, capsys):
     assert "line 2" in err
 
 
+def test_compute_graph6_column_is_the_canonical_input(tmp_path, capsys):
+    rng = random.Random(7)
+    lines = []
+    for i in range(48):
+        n, p = rng.randint(1, 40), rng.choice([0.1, 0.3, 0.6])
+        g6 = to_graph6(from_edges(n, [(u, v) for v in range(n) for u in range(v)
+                                      if rng.random() < p]))
+        lines.append((g6, f">>graph6<<{g6}", f" \t{g6}  ", f"  >>graph6<<{g6}\t")[i % 4])
+    src = tmp_path / "graphs.g6"
+    src.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli(["compute", str(src)], capsys)
+    assert code == 0 and err == ""
+    _, rows = parse_csv(out)
+    assert [r["graph6"] for r in rows] == [to_graph6(parse_graph6(line)) for line in lines]
+    code, out, _ = run_cli(["compute", "--inline", ">>graph6<<D?{"], capsys)
+    assert code == 0
+    assert parse_csv(out)[1][0]["graph6"] == "D?{"
+
+
 def test_compute_json_and_csv_agree(capsys):
     _, csv_out, _ = run_cli(["compute", "--inline", WITNESS_G6], capsys)
     _, json_out, _ = run_cli(["compute", "--inline", WITNESS_G6, "--format", "json"], capsys)
@@ -143,6 +163,16 @@ def test_verify_unknown_check(tmp_path, capsys):
          "--violations-file", str(tmp_path / "v.csv")], capsys)
     assert code == 2
     assert "unknown check" in err
+
+
+def test_verify_empty_only_is_usage_error(tmp_path, capsys):
+    # An empty selection names no check: it must not fall back to the defaults.
+    vfile = tmp_path / "v.csv"
+    code, _, err = run_cli(
+        ["verify", "--n-max", "4", "--only", "", "--violations-file", str(vfile)], capsys)
+    assert code == 2
+    assert "unknown check or group: ''" in err
+    assert not vfile.exists()
 
 
 def test_verify_cap(tmp_path, capsys):
@@ -264,7 +294,9 @@ def test_gen_invalid_size(capsys):
     assert "n >= 3" in err
 
 
-@pytest.mark.parametrize("family,size", [("prism", 40), ("complete", 70)])
+@pytest.mark.parametrize("family,size", [
+    ("prism", 40), ("complete", 70), ("complete", 100000), ("path", 1000000000),
+])
 def test_gen_beyond_graph6_cap(family, size, capsys):
     code, out, err = run_cli(["gen", family, str(size)], capsys)
     assert code == 2

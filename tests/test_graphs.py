@@ -110,14 +110,23 @@ def test_stats_subdivided_prism():
 
 
 def test_stats_identities_on_random_graphs():
+    # Reference: the definitional forms, against which degree_stats' closed
+    # form variance and edge-list two-degrees must agree exactly.
     rng = random.Random(11)
-    for _ in range(200):
-        g = _random_graph(rng, rng.randint(1, 9), rng.choice([0.2, 0.5, 0.8]))
+    graphs = [g for n in range(1, 8) for g in enumerate_graphs(n)]
+    graphs += [_random_graph(rng, rng.randint(1, 40), rng.choice([0.2, 0.5, 0.8]))
+               for _ in range(200)]
+    for g in graphs:
         s = degree_stats(g)
-        assert sum(s.degrees) == 2 * s.m
+        degs, masks = g.degrees, g.neighbor_masks
+        avg = Fraction(2 * g.m, g.n)
+        assert s.avg_degree == avg and sum(s.degrees) == 2 * s.m
+        assert s.variance == sum((d - avg) ** 2 for d in degs) / g.n
+        assert s.two_degrees == tuple(
+            sum(degs[u] for u in range(g.n) if (masks[v] >> u) & 1) for v in range(g.n)
+        )
         assert sum(s.two_degrees) == s.sum_sq_degrees  # double counting
-        assert s.min_degree <= min(s.degrees) and max(s.degrees) <= s.max_degree
-        assert s.variance == Fraction(s.sum_sq_degrees, s.n) - s.avg_degree ** 2
+        assert (s.min_degree, s.max_degree) == (min(degs), max(degs))
 
 
 def test_two_degrees_path():

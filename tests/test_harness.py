@@ -7,10 +7,14 @@ from fractions import Fraction
 import pytest
 
 from specirr import (
+    RegularityClass,
     bell_max_search,
+    classify,
+    epsilon,
     hong_search,
     l_monotonicity_grid,
     parse_graph6,
+    to_graph6,
     verify_corpus,
     verify_graphs,
 )
@@ -18,6 +22,7 @@ from specirr.bounds import l_high_exact
 from specirr.graphs import enumerate_graphs, from_edges, subdivided_prism
 from specirr.harness import (
     ALL_CHECKS,
+    TIE_TOL,
     Claim,
     build_context,
     reevaluate_record,
@@ -171,6 +176,27 @@ def test_hong_ties_include_winner():
     for record in hong_search([4]):
         assert record.graph6 == record.ties[0][0]
         assert record.degree_gap == record.ties[0][1]
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_hong_search_matches_a_per_cell_scan(n):
+    # Reference: scan each (n, m) cell on its own, as enumerate_graphs
+    # filters it; the winner is the first class within TIE_TOL of the minimum.
+    expected = {}
+    for m in range(n - 1, n * (n - 1) // 2 + 1):
+        cell = [(to_graph6(g), epsilon(g), max(g.degrees) - min(g.degrees))
+                for g in enumerate_graphs(n, m=m, connected_only=True)
+                if classify(g) is not RegularityClass.REGULAR]
+        if cell:
+            low = min(eps for _, eps, _ in cell)
+            expected[m] = [row for row in cell if row[1] - low <= TIE_TOL]
+    records = hong_search([n])
+    assert [r.m for r in records] == sorted(expected)
+    for r in records:
+        ties = expected[r.m]
+        assert (r.objective, r.n) == ("min", n)
+        assert (r.graph6, r.epsilon, r.degree_gap) == ties[0]
+        assert r.ties == tuple((g6, gap) for g6, _, gap in ties)
 
 
 def test_hong_cap():
