@@ -20,6 +20,7 @@ from typing import Sequence
 from .graphs import (
     ENUMERATION_CAP,
     GRAPH6_MAX_N,
+    _GRAPH6_HEADER,
     Graph,
     complete,
     cycle,
@@ -75,7 +76,7 @@ GENERATORS = {
 def report_row(g: Graph, graph6: str, tol: float = DEFAULT_TOL) -> dict:
     """One row for g, parsed from canonical graph6 text: integers, decimals, every bound."""
     ctx = build_context(g, tol)
-    s, rep = ctx.stats, ctx.report
+    s = ctx.stats
     return {
         "graph6": graph6,
         "n": s.n,
@@ -86,18 +87,9 @@ def report_row(g: Graph, graph6: str, tol: float = DEFAULT_TOL) -> dict:
         "variance": s.variance_float,
         "rho": ctx.rho,
         "q1": ctx.q1,
-        "epsilon": rep.epsilon,
-        "nikiforov": rep.nikiforov,
-        "main": rep.main,
-        "cg_degree": rep.cg_degree,
-        "cgs": rep.cgs,
-        "sub_high": rep.sub_high,
-        "sub_low": rep.sub_low,
-        "hofmeister_lb": rep.hofmeister_lb,
-        "ylt_lb": rep.ylt_lb,
-        "hsf_ub": rep.hsf_ub,
-        "var_lb": rep.var_lb,
-        "var_ub": rep.var_ub,
+        # vars, not asdict: asdict deep-copies every field and costs a
+        # quarter of build_context per row.
+        **vars(ctx.report),
     }
 
 
@@ -163,7 +155,7 @@ def cmd_compute(args) -> int:
         return EXIT_USAGE
     rows = []
     for lineno, text in lines:
-        graph6 = text.strip().removeprefix(">>graph6<<")
+        graph6 = text.strip().removeprefix(_GRAPH6_HEADER)
         if not graph6:
             continue
         try:
@@ -242,12 +234,7 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 def _search_row(record: SearchRecord) -> dict:
     return {
-        "objective": record.objective,
-        "n": record.n,
-        "m": record.m,
-        "graph6": record.graph6,
-        "epsilon": record.epsilon,
-        "degree_gap": record.degree_gap,
+        **vars(record),
         "ties": ";".join(f"{g6}:{gap}" for g6, gap in record.ties),
     }
 
@@ -263,6 +250,9 @@ def cmd_search(args) -> int:
         return EXIT_USAGE
     try:
         if args.hong:
+            if args.m is not None:
+                print("error: --m applies only to --bell-max", file=sys.stderr)
+                return EXIT_USAGE
             records = hong_search(range(n_lo, n_hi + 1))
         else:
             if args.m is None:
@@ -339,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_output_flags(p)
     p.set_defaults(fn=cmd_compute)
 
-    p = sub.add_parser("verify", help="run every bound check over the enumerated corpus")
+    p = sub.add_parser("verify", help="run the bound checks over the enumerated corpus")
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--all-graphs", action="store_true",
                    help="include disconnected graphs (default: connected only)")
@@ -363,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--bell-max", action="store_true",
                        help="maximal irregularity among connected graphs")
     p.add_argument("--n", required=True, help="vertex count or range, e.g. 4 or 4..6")
-    p.add_argument("--m", type=int, help="edge count (required for --bell-max)")
+    p.add_argument("--m", type=int, help="edge count (--bell-max only, and required there)")
     p.add_argument("--out", help="output file (default stdout)")
     add_output_flags(p)
     p.set_defaults(fn=cmd_search)

@@ -100,24 +100,31 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 _GRAPH6_HEADER = ">>graph6<<"
 
 
+def _graph6(n: int, bits: int) -> str:
+    """graph6 text for n vertices and the n(n-1)/2 upper-triangle bits."""
+    nbits = n * (n - 1) // 2
+    pad = (-nbits) % 6
+    bits <<= pad
+    chars = [chr(n + 63)]
+    for k in range(nbits + pad - 6, -1, -6):
+        chars.append(chr(((bits >> k) & 0x3F) + 63))
+    return "".join(chars)
+
+
+def _graph6_edge_count(text: str) -> int:
+    return sum((ord(c) - 63).bit_count() for c in text[1:])
+
+
 def to_graph6(g: Graph) -> str:
     """Encode a graph as a one-line graph6 string."""
     if g.n > GRAPH6_MAX_N:
         raise ValueError(f"graph6 encoding supported for n <= {GRAPH6_MAX_N}, got {g.n}")
     bits = 0
-    nbits = 0
     for j in range(1, g.n):
         col = g.neighbor_masks[j]
         for i in range(j):
             bits = (bits << 1) | ((col >> i) & 1)
-            nbits += 1
-    pad = (-nbits) % 6
-    bits <<= pad
-    nbits += pad
-    chars = [chr(g.n + 63)]
-    for k in range(nbits - 6, -1, -6):
-        chars.append(chr(((bits >> k) & 0x3F) + 63))
-    return "".join(chars)
+    return _graph6(g.n, bits)
 
 
 def parse_graph6(text: str) -> Graph:
@@ -448,46 +455,29 @@ def _canonical_blocks(masks: Sequence[int], n: int) -> tuple[int, ...]:
     return tuple(best)
 
 
+def _block_bits(blocks: Sequence[int]) -> int:
+    """Blocks joined into one vector: the relabeled graph's graph6 bit order."""
+    bits = 0
+    for k, b in enumerate(blocks, start=1):
+        bits = (bits << k) | b
+    return bits
+
+
 def _pack_form(n: int, blocks: Sequence[int]) -> bytes:
     total_bits = n * (n - 1) // 2
-    acc = 0
-    for k, b in enumerate(blocks, start=1):
-        acc = (acc << k) | b
     nbytes = (total_bits + 7) // 8
-    acc <<= nbytes * 8 - total_bits
-    return bytes([n]) + acc.to_bytes(nbytes, "big")
-
-
-def _form_to_masks(form: bytes) -> list[int]:
-    n = form[0]
-    total_bits = n * (n - 1) // 2
-    acc = int.from_bytes(form[1:], "big") >> (len(form[1:]) * 8 - total_bits) if total_bits else 0
-    masks = [0] * n
-    shift = total_bits
-    for k in range(1, n):
-        shift -= k
-        b = (acc >> shift) & ((1 << k) - 1)
-        for j in range(k):
-            if (b >> (k - 1 - j)) & 1:
-                masks[k] |= 1 << j
-                masks[j] |= 1 << k
-    return masks
-
-
-def _masks_to_graph(masks: Sequence[int]) -> Graph:
-    n = len(masks)
-    edges = frozenset(
-        (j, k) for k in range(n) for j in range(k) if (masks[k] >> j) & 1
-    )
-    return Graph(n, edges)
-
-
-def _form_edge_count(form: bytes) -> int:
-    return sum(byte.bit_count() for byte in form[1:])
+    bits = _block_bits(blocks) << (nbytes * 8 - total_bits)
+    return bytes([n]) + bits.to_bytes(nbytes, "big")
 
 
 def canonical_form(g: Graph) -> bytes:
-    """Canonical byte string: equal byte strings iff the graphs are isomorphic."""
+    """Canonical byte string: equal byte strings iff the graphs are isomorphic.
+
+    Byte 0 is n.  The rest is the canonical relabeling's upper triangle in
+    graph6 bit order (column by column), packed eight bits per byte, most
+    significant first, zero-padded.  Its hex is the `canonical` column of
+    violation rows.
+    """
     if g.n > ENUMERATION_CAP:
         raise ValueError(f"canonical form capped at n <= {ENUMERATION_CAP}, got {g.n}")
     return _pack_form(g.n, _canonical_blocks(g.neighbor_masks, g.n))
@@ -498,26 +488,29 @@ def canonical_form(g: Graph) -> bytes:
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=None)
-def _class_forms(n: int) -> tuple[bytes, ...]:
-    """Canonical forms of all isomorphism classes on n vertices.
+def _class_forms(n: int) -> tuple[str, ...]:
+    """Canonical graph6 text of every isomorphism class on n vertices.
 
     Classes on n vertices are generated by attaching a new vertex to the
     canonical representative of every class on n-1 vertices in all 2^(n-1)
-    ways and deduplicating by canonical form.  Every n-vertex class is
-    reached: deleting any one vertex of any representative leaves some
-    (n-1)-vertex class.  The result is sorted by (edge count, form).
+    ways and deduplicating by canonical blocks; each distinct class is
+    encoded once.  Every n-vertex class is reached: deleting any one vertex
+    of any representative leaves some (n-1)-vertex class.  The result is
+    sorted by (edge count, text), the same order as (edge count,
+    canonical_form): both pack one bit vector big-endian with equal padding.
     """
     if n == 1:
-        return (_pack_form(1, ()),)
-    seen: set[bytes] = set()
+        return (_graph6(1, 0),)
+    seen: set[tuple[int, ...]] = set()
     for parent in _class_forms(n - 1):
-        pmasks = _form_to_masks(parent)
+        pmasks = parse_graph6(parent).neighbor_masks
         top = n - 1
         for ext in range(1 << top):
             masks = [pm | (((ext >> i) & 1) << top) for i, pm in enumerate(pmasks)]
             masks.append(ext)
-            seen.add(_pack_form(n, _canonical_blocks(masks, n)))
-    return tuple(sorted(seen, key=lambda f: (_form_edge_count(f), f)))
+            seen.add(_canonical_blocks(masks, n))
+    forms = (_graph6(n, _block_bits(blocks)) for blocks in seen)
+    return tuple(sorted(forms, key=lambda text: (_graph6_edge_count(text), text)))
 
 
 def enumerate_graphs(
@@ -527,17 +520,19 @@ def enumerate_graphs(
 ) -> Iterator[Graph]:
     """Yield one representative per isomorphism class on n vertices.
 
-    The stream is deterministic (sorted by edge count, then canonical
-    form).  Optionally filter by edge count and/or connectivity.
+    Each representative is the canonical relabeling, decoded from the
+    graph6 text the class cache holds.  The stream is deterministic (sorted
+    by edge count, then canonical graph6).  Optionally filter by edge count
+    and/or connectivity.
     """
     if not 1 <= n <= ENUMERATION_CAP:
         raise ValueError(f"enumeration capped at 1 <= n <= {ENUMERATION_CAP}, got {n}")
     if m is not None and not 0 <= m <= n * (n - 1) // 2:
         raise ValueError(f"edge count {m} out of range for n={n}")
-    for form in _class_forms(n):
-        if m is not None and _form_edge_count(form) != m:
+    for text in _class_forms(n):
+        if m is not None and _graph6_edge_count(text) != m:
             continue
-        g = _masks_to_graph(_form_to_masks(form))
+        g = parse_graph6(text)
         if connected_only and not is_connected(g):
             continue
         yield g

@@ -302,7 +302,7 @@ def verify_corpus(
     tol: float = DEFAULT_CHECK_TOL,
     checks: Mapping[str, CheckFn] | None = None,
 ) -> list[ViolationReport]:
-    """Run every check on every isomorphism class with n <= n_max."""
+    """Run the checks (default: DEFAULT_CHECKS) on every class with n <= n_max."""
     if not 1 <= n_max <= ENUMERATION_CAP:
         raise ValueError(f"corpus cap is 1 <= n_max <= {ENUMERATION_CAP}, got {n_max}")
     violations: list[ViolationReport] = []

@@ -258,6 +258,13 @@ def test_search_bell_requires_m(capsys):
     assert "--m" in err
 
 
+def test_search_hong_rejects_m(capsys):
+    code, out, err = run_cli(["search", "--hong", "--n", "5", "--m", "4"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: --m applies only to --bell-max\n"
+
+
 def test_search_cap(capsys):
     code, _, err = run_cli(["search", "--hong", "--n", "12"], capsys)
     assert code == 2

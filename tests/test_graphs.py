@@ -1,6 +1,8 @@
 """Graph core: construction, statistics, classification, canonical forms,
 and exhaustive enumeration."""
 
+import hashlib
+import itertools
 import random
 from fractions import Fraction
 
@@ -27,10 +29,17 @@ from specirr import (
     to_graph6,
 )
 
-# Published counts of isomorphism classes on n vertices; the enumeration
-# must reproduce them exactly.
-KNOWN_TOTAL = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
-KNOWN_CONNECTED = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
+# Published counts of isomorphism classes on n vertices (OEIS A000088 and
+# A001349); the enumeration must reproduce them exactly.
+KNOWN_TOTAL = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
+KNOWN_CONNECTED = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
+
+# SHA-256 of the ASCII lines to_graph6(g) + "\n" over enumerate_graphs(n)
+# for n = 1..n_max: pins both the classes and their order.
+ENUMERATION_DIGESTS = {
+    7: "75ccf4b551e4f74a95546b968a89e9dd02062ffa912b0f16cdd249a14dc2e32a",
+    8: "399677b2bc5490df0ef107b608c6d33dbbc4d53579b6b45e067b9286717bd8e0",
+}
 
 
 def _random_graph(rng, n, p=0.5):
@@ -220,7 +229,6 @@ def test_subdivide_edge_requires_edge():
 # ---------------------------------------------------------------------------
 
 def test_canonical_form_identifies_relabelings():
-    import itertools
     p3 = path(3)
     forms = {canonical_form(p3.relabel(perm)) for perm in itertools.permutations(range(3))}
     assert len(forms) == 1
@@ -232,13 +240,33 @@ def test_canonical_form_separates_classes():
 
 def test_canonical_form_random_relabel_invariance():
     rng = random.Random(23)
-    for _ in range(300):
-        n = rng.randint(2, 7)
+    for n in itertools.chain((rng.randint(2, 7) for _ in range(300)), [8, 9] * 30):
         g = _random_graph(rng, n, rng.choice([0.2, 0.5, 0.8]))
         f0 = canonical_form(g)
         perm = list(range(n))
         rng.shuffle(perm)
         assert canonical_form(g.relabel(perm)) == f0
+    # Symmetric graphs, where the twin pruning cuts the search: K9, C9, K3,3,3.
+    k333 = from_edges(9, [(u, v) for u in range(9) for v in range(u + 1, 9) if u // 3 != v // 3])
+    for g in (complete(9), cycle(9), k333):
+        f0 = canonical_form(g)
+        for _ in range(10):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            assert canonical_form(g.relabel(perm)) == f0
+
+
+def test_canonical_form_bits_are_the_graph6_bits():
+    # canonical_form packs the canonical relabeling's upper triangle eight
+    # bits per byte; graph6 packs the same bits six per character.
+    for n in range(1, 8):
+        nbits = n * (n - 1) // 2
+        for g in enumerate_graphs(n):
+            form = canonical_form(g)
+            form_bits = "".join(f"{byte:08b}" for byte in form[1:])[:nbits]
+            text = to_graph6(g)
+            text_bits = "".join(f"{ord(c) - 63:06b}" for c in text[1:])[:nbits]
+            assert form[0] == n and form_bits == text_bits
 
 
 def test_canonical_form_cap():
@@ -276,6 +304,15 @@ def test_canonical_form_agrees_with_vf2():
 def test_enumeration_counts(n):
     assert sum(1 for _ in enumerate_graphs(n)) == KNOWN_TOTAL[n]
     assert sum(1 for _ in enumerate_graphs(n, connected_only=True)) == KNOWN_CONNECTED[n]
+
+
+@pytest.mark.parametrize("n_max", sorted(ENUMERATION_DIGESTS))
+def test_enumeration_digest(n_max):
+    h = hashlib.sha256()
+    for n in range(1, n_max + 1):
+        for g in enumerate_graphs(n):
+            h.update((to_graph6(g) + "\n").encode("ascii"))
+    assert h.hexdigest() == ENUMERATION_DIGESTS[n_max]
 
 
 def test_enumeration_k3_cell():
