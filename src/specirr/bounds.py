@@ -5,11 +5,12 @@ degree, sum of squared degrees) with the degree variance carried as an
 exact rational; conversion to float happens at the last step, so there is
 no cancellation in var = (1/n) sum d^2 - (2m/n)^2.
 
-Applicability rules (connectivity, regularity, vertex-count floors) are
-enforced by bound_report; the raw formula functions trust their stated
-preconditions.  build_context evaluates a graph once (degree statistics,
-class, connectivity, both spectral radii) and builds the report from
-those same values; bound_report returns that report.
+build_context evaluates a graph once (degree statistics, class,
+connectivity, both spectral radii) and returns one BoundReport holding
+those values, the irregularity and every bound, with applicability rules
+(connectivity, regularity, vertex-count floors) enforced; bound_report is
+the same call under its public name.  The raw formula functions trust
+their stated preconditions.
 """
 
 from __future__ import annotations
@@ -36,7 +37,8 @@ from .spectral import DEFAULT_TOL, adjacency_spectral_radius, spectral_summary
 def epsilon(g: Graph, tol: float = DEFAULT_TOL) -> float:
     """Collatz-Sinogowitz irregularity: spectral radius minus average degree.
 
-    Nonnegative, and zero exactly for regular graphs.
+    The true value is nonnegative, and zero exactly for regular graphs;
+    the float can land a few ulps below 0.
     """
     rho = adjacency_spectral_radius(g, tol).rho
     return rho - float(Fraction(2 * g.m, g.n))
@@ -78,7 +80,7 @@ def cgs_bound(s: DegreeStats) -> float:
     Only sound for connected non-regular graphs on n >= 4 vertices: it is
     strictly positive (so regular graphs falsify it trivially) and the
     path on 3 vertices falsifies it too (irregularity sqrt(2) - 4/3 is
-    below 1/12).  bound_report applies the gate.
+    below 1/12).  build_context applies the gate.
     """
     return 1.0 / (s.n * (s.max_degree + 2))
 
@@ -265,13 +267,20 @@ def _check_l_domain(n: int, dmax: int, high: bool) -> None:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Every bound evaluated on one graph, with applicability gating.
+    """One evaluation of one graph: its degree statistics, regularity class,
+    connectivity, both spectral radii, the irregularity and every bound.
 
     Inapplicable bounds are None and carry a machine-readable reason in
     `applicability`, keyed by field name.  Degenerate-but-defined values
     (edgeless graphs) stay as 0.0 with a note under the same key.
     """
 
+    graph: Graph
+    stats: DegreeStats
+    regularity: RegularityClass
+    connected: bool
+    rho: float
+    q1: float
     epsilon: float
     nikiforov: float
     main: float
@@ -287,9 +296,13 @@ class BoundReport:
     applicability: dict[str, str] = field(default_factory=dict)
 
 
-def _report(s: DegreeStats, cls: RegularityClass, connected: bool, rho: float) -> BoundReport:
-    """Every applicable bound, from one graph's already computed quantities."""
-    eps = rho - float(s.avg_degree)
+def build_context(g: Graph, tol: float = DEFAULT_TOL) -> BoundReport:
+    """Evaluate g once: degree statistics, class, connectivity, both
+    spectral radii, and every applicable bound built from those values."""
+    s = degree_stats(g)
+    cls = classify(g)
+    connected = is_connected(g)
+    summary = spectral_summary(g, tol)
     notes: dict[str, str] = {}
 
     if s.m == 0:
@@ -340,7 +353,13 @@ def _report(s: DegreeStats, cls: RegularityClass, connected: bool, rho: float) -
 
     var_lb, var_ub = map(float, variance_sandwich(s))
     return BoundReport(
-        epsilon=eps,
+        graph=g,
+        stats=s,
+        regularity=cls,
+        connected=connected,
+        rho=summary.rho,
+        q1=summary.q1,
+        epsilon=summary.rho - float(s.avg_degree),
         nikiforov=nikiforov_bound(s),
         main=main_bound(s),
         cg_degree=cg_degree_bound(s),
@@ -356,40 +375,9 @@ def _report(s: DegreeStats, cls: RegularityClass, connected: bool, rho: float) -
     )
 
 
-@dataclass(frozen=True)
-class GraphContext:
-    """Everything the checks and report rows need about one graph, computed once."""
-
-    graph: Graph
-    stats: DegreeStats
-    regularity: RegularityClass
-    connected: bool
-    rho: float
-    q1: float
-    epsilon: float
-    report: BoundReport
-
-
-def build_context(g: Graph, tol: float = DEFAULT_TOL) -> GraphContext:
-    """One evaluation of a graph: degree statistics, class, connectivity,
-    both spectral radii, and the bound report built from those values."""
-    s = degree_stats(g)
-    cls = classify(g)
-    connected = is_connected(g)
-    summary = spectral_summary(g, tol)
-    report = _report(s, cls, connected, summary.rho)
-    return GraphContext(
-        graph=g,
-        stats=s,
-        regularity=cls,
-        connected=connected,
-        rho=summary.rho,
-        q1=summary.q1,
-        epsilon=report.epsilon,
-        report=report,
-    )
-
-
 def bound_report(g: Graph, tol: float = DEFAULT_TOL) -> BoundReport:
-    """Evaluate every applicable bound on one graph."""
-    return build_context(g, tol).report
+    """Evaluate every applicable bound on one graph (same as build_context).
+
+    A def of its own, not an alias, so a tracer can wrap each name apart.
+    """
+    return build_context(g, tol)

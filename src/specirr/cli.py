@@ -11,10 +11,11 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
-from itertools import repeat
+from functools import partial
+from multiprocessing import Pool
 from typing import Sequence
 
 from .graphs import (
@@ -85,11 +86,9 @@ def report_row(g: Graph, graph6: str, tol: float = DEFAULT_TOL) -> dict:
         "min_degree": s.min_degree,
         "avg_degree": s.avg_degree_float,
         "variance": s.variance_float,
-        "rho": ctx.rho,
-        "q1": ctx.q1,
-        # vars, not asdict: asdict deep-copies every field and costs a
-        # quarter of build_context per row.
-        **vars(ctx.report),
+        # rho .. var_ub are BoundReport fields.  Copy the values, not the
+        # record: its graph and stats would stay alive with every buffered row.
+        **{col: getattr(ctx, col) for col in REPORT_COLUMNS[7:]},
     }
 
 
@@ -123,7 +122,15 @@ def _emit(rows: list[dict], columns: Sequence[str], fmt: str, precision: str, ou
 def _write_output(rows: list[dict], columns: Sequence[str], fmt: str,
                   precision: str, out_path: str | None) -> None:
     if out_path is None or out_path == "-":
-        _emit(rows, columns, fmt, precision, sys.stdout)
+        try:
+            _emit(rows, columns, fmt, precision, sys.stdout)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # The reader stopped early; that is no error of this run.  Point
+            # fd 1 at devnull so the interpreter's final flush is silent.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
     else:
         with open(out_path, "w", encoding="ascii") as fh:
             _emit(rows, columns, fmt, precision, fh)
@@ -178,7 +185,7 @@ def _corrupted_check(ctx, tol):
     # Deliberately false inequality for the --self-test fixture: a clean
     # pipeline flags it on every graph of the corpus (all of them through
     # n = 7, regular ones through the -tol slack).
-    return [Claim("self-test-corrupted", ctx.report.main * 10.0, ctx.epsilon, -tol)]
+    return [Claim("self-test-corrupted", ctx.main * 10.0, ctx.epsilon, -tol)]
 
 
 def cmd_verify(args) -> int:
@@ -202,11 +209,11 @@ def cmd_verify(args) -> int:
                 yield g
 
     if args.jobs > 1:
-        graphs = list(corpus())
-        chunks = [graphs[i::args.jobs] for i in range(args.jobs)]
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = pool.map(verify_graphs, chunks, repeat(args.tol), repeat(checks))
-        violations = [v for part in results for v in part]
+        # Workers are fed from the same stream, 64 graphs per message.
+        check = partial(verify_graphs, tol=args.tol, checks=checks)
+        with Pool(args.jobs) as pool:
+            results = pool.imap(check, ([g] for g in corpus()), chunksize=64)
+            violations = [v for part in results for v in part]
     else:
         # Streamed, so each Graph is freed once it is checked.
         violations = verify_graphs(corpus(), args.tol, checks)

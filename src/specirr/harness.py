@@ -29,7 +29,7 @@ from .graphs import (
 )
 from .spectral import check_tolerance, spectral_oracle
 from .bounds import (
-    GraphContext,
+    BoundReport,
     _liu_liu,
     build_context,
     epsilon,
@@ -56,10 +56,12 @@ class ViolationReport:
 
     tolerance is the claim's slack, which margin = lhs - rhs exceeds; the
     margin is taken on the claim's exact sides, then converted to float.
+    canonical is None past ENUMERATION_CAP vertices, where canonical_form
+    is not defined.
     """
 
     graph6: str
-    canonical: str
+    canonical: str | None
     check_name: str
     lhs: float
     rhs: float
@@ -80,14 +82,14 @@ class Claim(NamedTuple):
     slack: float
 
 
-CheckFn = Callable[[GraphContext, float], list[Claim]]
+CheckFn = Callable[[BoundReport, float], list[Claim]]
 
 
-def _check_cs_lower(ctx: GraphContext, tol: float):
+def _check_cs_lower(ctx: BoundReport, tol: float):
     return [Claim("cs-lower", ctx.stats.avg_degree_float, ctx.rho, tol)]
 
 
-def _check_cs_equality(ctx: GraphContext, tol: float):
+def _check_cs_equality(ctx: BoundReport, tol: float):
     avg = ctx.stats.avg_degree_float
     if ctx.regularity is RegularityClass.REGULAR:
         return [Claim("cs-equality", abs(ctx.rho - avg), 0.0, tol)]
@@ -95,11 +97,11 @@ def _check_cs_equality(ctx: GraphContext, tol: float):
     return [Claim("cs-equality", avg, ctx.rho, -tol)]
 
 
-def _check_epsilon_sign(ctx: GraphContext, tol: float):
+def _check_epsilon_sign(ctx: BoundReport, tol: float):
     return [Claim("epsilon-nonnegative", -ctx.epsilon, 0.0, tol)]
 
 
-def _check_variance_sandwich(ctx: GraphContext, tol: float):
+def _check_variance_sandwich(ctx: BoundReport, tol: float):
     lower, upper = variance_sandwich(ctx.stats)
     return [
         Claim("variance-sandwich-lower", lower, ctx.stats.variance, 0),
@@ -107,16 +109,16 @@ def _check_variance_sandwich(ctx: GraphContext, tol: float):
     ]
 
 
-def _check_nikiforov(ctx: GraphContext, tol: float):
-    return [Claim("nikiforov", ctx.report.nikiforov, ctx.epsilon, tol)]
+def _check_nikiforov(ctx: BoundReport, tol: float):
+    return [Claim("nikiforov", ctx.nikiforov, ctx.epsilon, tol)]
 
 
-def _check_main(ctx: GraphContext, tol: float):
-    return [Claim("main", ctx.report.main, ctx.epsilon, tol)]
+def _check_main(ctx: BoundReport, tol: float):
+    return [Claim("main", ctx.main, ctx.epsilon, tol)]
 
 
-def _check_dominance(ctx: GraphContext, tol: float):
-    nikiforov, main = ctx.report.nikiforov, ctx.report.main
+def _check_dominance(ctx: BoundReport, tol: float):
+    nikiforov, main = ctx.nikiforov, ctx.main
     claims = [Claim("dominance", nikiforov, main, tol)]
     if ctx.stats.variance > 0:
         # Strictly better whenever the degrees are not all equal.
@@ -124,26 +126,26 @@ def _check_dominance(ctx: GraphContext, tol: float):
     return claims
 
 
-def _check_cg_degree(ctx: GraphContext, tol: float):
-    return [Claim("cg-degree", ctx.report.cg_degree, ctx.epsilon, tol)]
+def _check_cg_degree(ctx: BoundReport, tol: float):
+    return [Claim("cg-degree", ctx.cg_degree, ctx.epsilon, tol)]
 
 
-def _check_cgs(ctx: GraphContext, tol: float):
-    if ctx.report.cgs is None:
+def _check_cgs(ctx: BoundReport, tol: float):
+    if ctx.cgs is None:
         return []
-    return [Claim("cgs", ctx.report.cgs, ctx.epsilon, tol)]
+    return [Claim("cgs", ctx.cgs, ctx.epsilon, tol)]
 
 
-def _check_hofmeister(ctx: GraphContext, tol: float):
-    hof = ctx.report.hofmeister_lb
+def _check_hofmeister(ctx: BoundReport, tol: float):
+    hof = ctx.hofmeister_lb
     return [
         Claim("hofmeister", hof, ctx.rho, tol),
         Claim("hofmeister-chain", ctx.stats.avg_degree_float, hof, tol),
     ]
 
 
-def _check_yu_lu_tian(ctx: GraphContext, tol: float):
-    ylt = ctx.report.ylt_lb
+def _check_yu_lu_tian(ctx: BoundReport, tol: float):
+    ylt = ctx.ylt_lb
     if ylt is None:
         return []
     return [
@@ -152,13 +154,13 @@ def _check_yu_lu_tian(ctx: GraphContext, tol: float):
     ]
 
 
-def _check_hong_shu_fang(ctx: GraphContext, tol: float):
-    if ctx.report.hsf_ub is None:
+def _check_hong_shu_fang(ctx: BoundReport, tol: float):
+    if ctx.hsf_ub is None:
         return []
-    return [Claim("hong-shu-fang", ctx.rho, ctx.report.hsf_ub, tol)]
+    return [Claim("hong-shu-fang", ctx.rho, ctx.hsf_ub, tol)]
 
 
-def _check_liu_liu(ctx: GraphContext, tol: float):
+def _check_liu_liu(ctx: BoundReport, tol: float):
     s = ctx.stats
     if s.m == 0:
         return []
@@ -170,44 +172,44 @@ def _check_liu_liu(ctx: GraphContext, tol: float):
     ]
 
 
-def _check_rho_max_degree(ctx: GraphContext, tol: float):
+def _check_rho_max_degree(ctx: BoundReport, tol: float):
     return [Claim("rho-max-degree", ctx.rho, ctx.stats.max_degree, tol)]
 
 
-def _check_subregular_bounds(ctx: GraphContext, tol: float):
+def _check_subregular_bounds(ctx: BoundReport, tol: float):
     out = []
-    if ctx.report.sub_high is not None:
-        out.append(Claim("subregular-high", ctx.report.sub_high, ctx.epsilon, tol))
-    if ctx.report.sub_low is not None:
-        out.append(Claim("subregular-low", ctx.report.sub_low, ctx.epsilon, tol))
+    if ctx.sub_high is not None:
+        out.append(Claim("subregular-high", ctx.sub_high, ctx.epsilon, tol))
+    if ctx.sub_low is not None:
+        out.append(Claim("subregular-low", ctx.sub_low, ctx.epsilon, tol))
     return out
 
 
-def _check_subregular_chain(ctx: GraphContext, tol: float):
+def _check_subregular_chain(ctx: BoundReport, tol: float):
     # For connected high subregular graphs on n >= 7 the squared-bound gap
     # divided by 2*Dmax already lower-bounds the irregularity.
-    if ctx.report.sub_high is None:
+    if ctx.sub_high is None:
         return []
     n, dmax = ctx.stats.n, ctx.stats.max_degree
     lhs = float(l_high_exact(n, dmax)) / (2 * dmax)
     return [Claim("subregular-high-chain", lhs, ctx.epsilon, tol)]
 
 
-def _check_subregular_delta_cap(ctx: GraphContext, tol: float):
+def _check_subregular_delta_cap(ctx: BoundReport, tol: float):
     # A high subregular graph cannot have a dominating vertex.
     if ctx.regularity is not RegularityClass.HIGH_SUBREGULAR:
         return []
     return [Claim("subregular-delta-cap", ctx.stats.max_degree, ctx.stats.n - 2, 0)]
 
 
-def _check_low_subregular_rho_cap(ctx: GraphContext, tol: float):
+def _check_low_subregular_rho_cap(ctx: BoundReport, tol: float):
     if ctx.regularity is not RegularityClass.LOW_SUBREGULAR or not ctx.connected:
         return []
     cap = low_subregular_rho_upper(ctx.stats.max_degree)
     return [Claim("low-subregular-rho-cap", ctx.rho, cap, tol)]
 
 
-def _check_oracle_agreement(ctx: GraphContext, tol: float):
+def _check_oracle_agreement(ctx: BoundReport, tol: float):
     oracle = spectral_oracle(ctx.graph)
     return [Claim("oracle-agreement", abs(ctx.rho - oracle), 0.0, tol)]
 
@@ -286,7 +288,8 @@ def verify_graphs(
         ]
         if not failed:
             continue
-        graph6, canonical = to_graph6(g), canonical_form(g).hex()
+        graph6 = to_graph6(g)
+        canonical = canonical_form(g).hex() if g.n <= ENUMERATION_CAP else None
         violations.extend(
             ViolationReport(graph6=graph6, canonical=canonical, check_name=name,
                             lhs=float(lhs), rhs=float(rhs), margin=float(lhs - rhs),

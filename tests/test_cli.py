@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import os
 import random
 import subprocess
 import sys
@@ -193,13 +194,16 @@ def test_verify_self_test_exits_one(tmp_path, capsys):
 
 
 def test_verify_jobs_deterministic(tmp_path, capsys):
-    one = tmp_path / "v1.csv"
-    two = tmp_path / "v2.csv"
-    assert run_cli(["verify", "--n-max", "5", "--violations-file", str(one)],
-                   capsys)[0] == 0
-    assert run_cli(["verify", "--n-max", "5", "--jobs", "2",
-                    "--violations-file", str(two)], capsys)[0] == 0
-    assert one.read_bytes() == two.read_bytes()
+    # The self-test flags all 31 connected classes n <= 5: the file must not
+    # depend on how many workers checked them.
+    files = []
+    for jobs in ("1", "2", "3"):
+        files.append(tmp_path / f"v{jobs}.csv")
+        code, _, err = run_cli(["verify", "--n-max", "5", "--self-test", "--jobs", jobs,
+                                "--violations-file", str(files[-1])], capsys)
+        assert (code, err) == (1, "checked 31 graphs, 31 violations\n")
+    assert len(files[0].read_text().splitlines()) == 1 + 31
+    assert files[0].read_bytes() == files[1].read_bytes() == files[2].read_bytes()
 
 
 @pytest.mark.parametrize("command", [
@@ -348,13 +352,48 @@ def test_non_convergence_exit_code(capsys):
 # End-to-end determinism through the console entry point
 # ---------------------------------------------------------------------------
 
-def test_cli_byte_determinism_subprocess():
-    cmd = [sys.executable, "-m", "specirr.cli", "compute", "--inline", WITNESS_G6,
-           "--format", "json"]
+def _cli_command(*args):
     # Run from the directory holding the imported package, so the child
     # finds the same specirr without an install or PYTHONPATH.
     root = Path(specirr.__file__).resolve().parents[1]
+    return [sys.executable, "-m", "specirr.cli", *args], root
+
+
+def test_cli_byte_determinism_subprocess():
+    cmd, root = _cli_command("compute", "--inline", WITNESS_G6, "--format", "json")
     first = subprocess.run(cmd, capture_output=True, check=True, cwd=root)
     second = subprocess.run(cmd, capture_output=True, check=True, cwd=root)
     assert first.stdout == second.stdout
     assert json.loads(first.stdout)[0]["graph6"] == WITNESS_G6
+
+
+def test_reader_closing_the_pipe_is_not_an_error(tmp_path):
+    # 2 000 JSON rows are far more than a pipe buffers, so the run is still
+    # writing when the reader leaves after one line.
+    stream = tmp_path / "stream.g6"
+    stream.write_text((to_graph6(subdivided_prism(4)) + "\n") * 2000)
+    cmd, root = _cli_command("compute", str(stream), "--format", "json")
+    proc = subprocess.Popen(cmd, cwd=root, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"[\n"
+    proc.stdout.close()
+    assert proc.wait(timeout=120) == 0
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+
+
+@pytest.mark.parametrize("args, code, err", [
+    (["search", "--hong", "--n", "2..5"], 0, b""),
+    (["verify", "--n-max", "4", "--self-test", "--violations-file", "-"], 1,
+     b"checked 10 graphs, 10 violations\n"),
+], ids=["search", "verify"])
+def test_closed_pipe_keeps_the_exit_code(args, code, err):
+    # The reader is gone before the first write.
+    cmd, root = _cli_command(*args)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(cmd, cwd=root, stdout=write_end, stderr=subprocess.PIPE,
+                              timeout=120)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (code, err)

@@ -19,7 +19,13 @@ from specirr import (
     verify_graphs,
 )
 from specirr.bounds import l_high_exact
-from specirr.graphs import enumerate_graphs, from_edges, subdivided_prism
+from specirr.graphs import (
+    canonical_form,
+    enumerate_graphs,
+    from_edges,
+    path,
+    subdivided_prism,
+)
 from specirr.harness import (
     ALL_CHECKS,
     TIE_TOL,
@@ -55,7 +61,7 @@ def test_corrupted_check_is_detected():
     # Harness self-test: a deliberately broken inequality must produce
     # violations with the right metadata.
     def corrupted(ctx, tol):
-        return [Claim("corrupted-main", ctx.report.main * 10.0, ctx.epsilon, tol)]
+        return [Claim("corrupted-main", ctx.main * 10.0, ctx.epsilon, tol)]
 
     violations = verify_corpus(4, checks={"corrupted-main": corrupted})
     assert violations
@@ -65,14 +71,25 @@ def test_corrupted_check_is_detected():
     assert parse_graph6(sample.graph6).n <= 4
 
 
+def test_violations_past_the_enumeration_cap_have_no_canonical():
+    # canonical_form stops at ENUMERATION_CAP vertices; a violation on a
+    # larger graph is still reported, with canonical None (NA / null).
+    g = path(10)
+    fired = {"x": lambda ctx, tol: [Claim("x", 1, 0, 0)]}
+    assert verify_graphs([g]) == []
+    [v] = verify_graphs([g], checks=fired)
+    assert (v.graph6, v.canonical, v.check_name) == (to_graph6(g), None, "x")
+    [v] = verify_graphs([path(9)], checks=fired)
+    assert v.canonical == canonical_form(path(9)).hex()
+
+
 def test_strictness_checks_fire_on_degenerate_values():
     # Tampered contexts: equal bounds must trip dominance-strict, and a
     # non-regular graph pinned at the average degree must trip cs-equality.
     ctx = build_context(PAW)
     tol = 1e-9
 
-    flattened = dataclasses.replace(
-        ctx, report=dataclasses.replace(ctx.report, main=ctx.report.nikiforov))
+    flattened = dataclasses.replace(ctx, main=ctx.nikiforov)
     claims = ALL_CHECKS["dominance"](flattened, tol)
     assert any(name == "dominance-strict" and lhs - rhs > slack
                for name, lhs, rhs, slack in claims)
