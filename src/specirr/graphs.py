@@ -11,6 +11,7 @@ up to ENUMERATION_CAP vertices.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -397,18 +398,29 @@ def _root_candidates(masks: Sequence[int], n: int) -> list[int]:
     return min(groups.values(), key=lambda vs: (len(vs), colors[vs[0]]))
 
 
-def _canonical_blocks(masks: Sequence[int], n: int) -> tuple[int, ...]:
+def _canonical_blocks(
+    masks: Sequence[int], n: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The maximal blocks and a placement order that reaches them.
+
+    order[k] is the vertex placed at position k: renaming order[k] to k
+    gives the graph whose graph6 bits are _block_bits(blocks).  Any two
+    orders reaching the maximum differ by an automorphism, so a vertex
+    picked by its position in the order is canonical up to automorphism.
+    """
     if n == 1:
-        return ()
+        return (), (0,)
     best: list[int] | None = None
+    best_order: tuple[int, ...] = ()
     blocks = [0] * (n - 1)
+    order = [0] * n
     vertices = range(n)
     roots = _root_candidates(masks, n)
 
     def search(depth: int, rem: int, tight: bool, bvec: tuple[int, ...]) -> None:
         # bvec[v] = adjacency bits of v to the already-placed vertices, in
         # placement order (most significant bit = position 0).
-        nonlocal best
+        nonlocal best, best_order
         if depth:
             maxb = -1
             cands: list[int] = []
@@ -432,6 +444,8 @@ def _canonical_blocks(masks: Sequence[int], n: int) -> tuple[int, ...]:
             if depth == n - 1:
                 if best is None or (not tight and blocks > best):
                     best = blocks.copy()
+                    order[depth] = cands[0]
+                    best_order = tuple(order)
                 return
         else:
             cands = roots
@@ -447,12 +461,13 @@ def _canonical_blocks(masks: Sequence[int], n: int) -> tuple[int, ...]:
             else:
                 kept.append(v)
         for v in kept:
+            order[depth] = v
             child = tuple((bvec[u] << 1) | ((masks[u] >> v) & 1) for u in vertices)
             search(depth + 1, rem & ~(1 << v), tight, child)
 
     search(0, (1 << n) - 1, True, (0,) * n)
     assert best is not None
-    return tuple(best)
+    return tuple(best), best_order
 
 
 def _block_bits(blocks: Sequence[int]) -> int:
@@ -480,36 +495,82 @@ def canonical_form(g: Graph) -> bytes:
     """
     if g.n > ENUMERATION_CAP:
         raise ValueError(f"canonical form capped at n <= {ENUMERATION_CAP}, got {g.n}")
-    return _pack_form(g.n, _canonical_blocks(g.neighbor_masks, g.n))
+    return _pack_form(g.n, _canonical_blocks(g.neighbor_masks, g.n)[0])
 
 
 # ---------------------------------------------------------------------------
 # Exhaustive enumeration of isomorphism classes
 # ---------------------------------------------------------------------------
 
+def _without_vertex(masks: Sequence[int], v: int) -> list[int]:
+    """Adjacency masks after deleting vertex v; later vertices shift down."""
+    low = (1 << v) - 1
+    return [(mu & low) | ((mu >> 1) & ~low) for u, mu in enumerate(masks) if u != v]
+
+
 @functools.lru_cache(maxsize=None)
 def _class_forms(n: int) -> tuple[str, ...]:
     """Canonical graph6 text of every isomorphism class on n vertices.
 
-    Classes on n vertices are generated by attaching a new vertex to the
-    canonical representative of every class on n-1 vertices in all 2^(n-1)
-    ways and deduplicating by canonical blocks; each distinct class is
-    encoded once.  Every n-vertex class is reached: deleting any one vertex
-    of any representative leaves some (n-1)-vertex class.  The result is
-    sorted by (edge count, text), the same order as (edge count,
-    canonical_form): both pack one bit vector big-endian with equal padding.
+    Classes on n vertices grow from the classes on n-1 vertices by canonical
+    augmentation (McKay, J. Algorithms 26 (1998) 306-324).  A parent, the
+    canonical representative of an (n-1)-class, gets a new vertex joined to
+    a set S of its vertices, and the child is kept only if:
+
+    - signature rule: the new vertex has the least signature (degree,
+      sorted neighbour degrees) among the child's vertices, ties allowed.
+      It then has minimum degree, so |S| <= 1 + the parent's minimum
+      degree and only those sets are generated;
+    - canonical deletion: among the vertices of least signature, let v* be
+      the one placed last by the child's canonical order.  v* is the new
+      vertex, or deleting v* leaves a graph whose canonical text is the
+      parent's.
+
+    No class is lost: relabel any n-class so that its v* is the new vertex
+    and the rest is the canonical representative of the class left by
+    deleting v*; that parent with S = N(v*) passes both tests.  No class
+    is produced twice: v* is canonical up to automorphism, so every
+    n-class is accepted only from the one parent class its v* deletion
+    leaves.  Copies can therefore come only from one parent's different
+    sets S, and each parent dedupes its own children by canonical blocks.
+    The result is sorted by (edge count, text), the same order as (edge
+    count, canonical_form): both pack one bit vector big-endian with equal
+    padding.
     """
     if n == 1:
         return (_graph6(1, 0),)
-    seen: set[tuple[int, ...]] = set()
-    for parent in _class_forms(n - 1):
+    top = n - 1
+    forms: list[str] = []
+    for parent in _class_forms(top):
         pmasks = parse_graph6(parent).neighbor_masks
-        top = n - 1
-        for ext in range(1 << top):
-            masks = [pm | (((ext >> i) & 1) << top) for i, pm in enumerate(pmasks)]
-            masks.append(ext)
-            seen.add(_canonical_blocks(masks, n))
-    forms = (_graph6(n, _block_bits(blocks)) for blocks in seen)
+        pdegs = [pm.bit_count() for pm in pmasks]
+        # canonical blocks of each distinct child -> whether it is accepted
+        verdicts: dict[tuple[int, ...], bool] = {}
+        for k in range(min(min(pdegs) + 1, top) + 1):
+            for ext in itertools.combinations(range(top), k):
+                masks = list(pmasks)
+                degs = pdegs + [k]
+                for i in ext:
+                    masks[i] |= 1 << top
+                    degs[i] += 1
+                masks.append(sum(1 << i for i in ext))
+                if min(degs) < k:
+                    continue
+                sigs = {
+                    v: sorted(degs[u] for u in range(n) if (masks[v] >> u) & 1)
+                    for v in range(n) if degs[v] == k
+                }
+                least = sigs[top]
+                if any(sig < least for sig in sigs.values()):
+                    continue
+                blocks, order = _canonical_blocks(masks, n)
+                if blocks in verdicts:
+                    continue
+                last = max((v for v, sig in sigs.items() if sig == least), key=order.index)
+                verdicts[blocks] = last == top or parent == _graph6(
+                    top, _block_bits(_canonical_blocks(_without_vertex(masks, last), top)[0])
+                )
+        forms.extend(_graph6(n, _block_bits(b)) for b, ok in verdicts.items() if ok)
     return tuple(sorted(forms, key=lambda text: (_graph6_edge_count(text), text)))
 
 

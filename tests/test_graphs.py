@@ -1,6 +1,7 @@
 """Graph core: construction, statistics, classification, canonical forms,
 and exhaustive enumeration."""
 
+import functools
 import hashlib
 import itertools
 import random
@@ -28,6 +29,7 @@ from specirr import (
     subdivided_prism,
     to_graph6,
 )
+from specirr import graphs
 
 # Published counts of isomorphism classes on n vertices (OEIS A000088 and
 # A001349); the enumeration must reproduce them exactly.
@@ -40,6 +42,10 @@ ENUMERATION_DIGESTS = {
     7: "75ccf4b551e4f74a95546b968a89e9dd02062ffa912b0f16cdd249a14dc2e32a",
     8: "399677b2bc5490df0ef107b608c6d33dbbc4d53579b6b45e067b9286717bd8e0",
 }
+
+
+# K3,3,3: a symmetric graph where the twin pruning cuts the canonical search.
+K333 = from_edges(9, [(u, v) for u in range(9) for v in range(u + 1, 9) if u // 3 != v // 3])
 
 
 def _random_graph(rng, n, p=0.5):
@@ -247,8 +253,7 @@ def test_canonical_form_random_relabel_invariance():
         rng.shuffle(perm)
         assert canonical_form(g.relabel(perm)) == f0
     # Symmetric graphs, where the twin pruning cuts the search: K9, C9, K3,3,3.
-    k333 = from_edges(9, [(u, v) for u in range(9) for v in range(u + 1, 9) if u // 3 != v // 3])
-    for g in (complete(9), cycle(9), k333):
+    for g in (complete(9), cycle(9), K333):
         f0 = canonical_form(g)
         for _ in range(10):
             perm = list(range(g.n))
@@ -267,6 +272,24 @@ def test_canonical_form_bits_are_the_graph6_bits():
             text = to_graph6(g)
             text_bits = "".join(f"{ord(c) - 63:06b}" for c in text[1:])[:nbits]
             assert form[0] == n and form_bits == text_bits
+
+
+def test_canonical_order_relabels_to_the_canonical_graph6():
+    # Enumeration picks the vertex to delete by its place in this order.
+    rng = random.Random(29)
+    cases = [g for n in range(1, 7) for g in enumerate_graphs(n)]
+    cases += [_random_graph(rng, n, rng.choice([0.2, 0.5, 0.8])) for n in [8, 9] * 20]
+    cases += [complete(9), cycle(9), K333]
+    for g in cases:
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        h = g.relabel(perm)
+        blocks, order = graphs._canonical_blocks(h.neighbor_masks, h.n)
+        assert sorted(order) == list(range(h.n))
+        position = [0] * h.n
+        for k, v in enumerate(order):
+            position[v] = k
+        assert to_graph6(h.relabel(position)) == graphs._graph6(h.n, graphs._block_bits(blocks))
 
 
 def test_canonical_form_cap():
@@ -313,6 +336,27 @@ def test_enumeration_digest(n_max):
         for g in enumerate_graphs(n):
             h.update((to_graph6(g) + "\n").encode("ascii"))
     assert h.hexdigest() == ENUMERATION_DIGESTS[n_max]
+
+
+def test_enumeration_canonicalization_budget(monkeypatch):
+    # Canonical augmentation needs about two canonicalizations per class;
+    # extending every parent in all 2^(n-1) ways took 11 290 up to n = 7.
+    calls = 0
+    canonical_blocks = graphs._canonical_blocks
+
+    def counted(masks, n):
+        nonlocal calls
+        calls += 1
+        return canonical_blocks(masks, n)
+
+    monkeypatch.setattr(graphs, "_canonical_blocks", counted)
+    # An empty cache of its own rebuilds n <= 7; the module's cache, which
+    # later tests reuse, is put back untouched.
+    fresh = functools.lru_cache(maxsize=None)(graphs._class_forms.__wrapped__)
+    monkeypatch.setattr(graphs, "_class_forms", fresh)
+    assert len(graphs._class_forms(7)) == KNOWN_TOTAL[7]
+    assert fresh.cache_info().currsize == 7
+    assert calls <= 3000
 
 
 def test_enumeration_k3_cell():
