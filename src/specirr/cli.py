@@ -13,19 +13,18 @@ import csv
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict
 from functools import partial
 from multiprocessing import Pool
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .graphs import (
-    ENUMERATION_CAP,
     GRAPH6_MAX_N,
     _GRAPH6_HEADER,
     Graph,
     complete,
     cycle,
-    enumerate_graphs,
     parse_graph6,
     path,
     prism,
@@ -37,10 +36,11 @@ from .spectral import DEFAULT_TOL, SpectralConvergenceError, check_tolerance
 from .bounds import build_context
 from .harness import (
     DEFAULT_CHECK_TOL,
-    SEARCH_CAP,
     Claim,
     SearchRecord,
     bell_max_search,
+    check_search_sizes,
+    enumerate_corpus,
     hong_search,
     select_checks,
     verify_graphs,
@@ -140,39 +140,40 @@ def _write_output(rows: list[dict], columns: Sequence[str], fmt: str,
 # compute
 # ---------------------------------------------------------------------------
 
-def _read_graph6_lines(source: str | None, inline: list[str]) -> list[tuple[int, str]]:
-    """(line number, text) pairs from a file, stdin ('-'), or inline strings."""
+@contextmanager
+def _graph6_lines(source: str | None, inline: list[str]) -> Iterator[Iterable[str]]:
+    """Inline strings, or the lines of stdin ('-') or a file, read lazily by str.splitlines."""
     if inline:
-        return [(i + 1, s) for i, s in enumerate(inline)]
-    if source is None:
+        yield inline
+    elif source is None:
         raise ValueError("no input: pass a graph6 file, '-', or --inline")
-    if source == "-":
-        raw = sys.stdin.read().splitlines()
+    elif source == "-":
+        yield (part for line in sys.stdin for part in line.splitlines())
     else:
         with open(source, "r", encoding="ascii") as fh:
-            raw = fh.read().splitlines()
-    return [(i + 1, line) for i, line in enumerate(raw)]
+            yield (part for line in fh for part in line.splitlines())
 
 
 def cmd_compute(args) -> int:
+    rows = []
     try:
-        lines = _read_graph6_lines(args.input, args.inline)
-    except ValueError as exc:
+        with _graph6_lines(args.input, args.inline) as lines:
+            for lineno, text in enumerate(lines, 1):
+                graph6 = text.strip().removeprefix(_GRAPH6_HEADER)
+                if not graph6:
+                    continue
+                try:
+                    g = parse_graph6(text)
+                except ValueError as exc:
+                    print(f"line {lineno}: {exc}", file=sys.stderr)
+                    if args.strict:
+                        return EXIT_USAGE
+                    continue
+                rows.append(report_row(g, graph6, args.tol))
+    except ValueError as exc:  # no input, or a byte that is not ASCII
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    rows = []
-    for lineno, text in lines:
-        graph6 = text.strip().removeprefix(_GRAPH6_HEADER)
-        if not graph6:
-            continue
-        try:
-            g = parse_graph6(text)
-        except ValueError as exc:
-            print(f"line {lineno}: {exc}", file=sys.stderr)
-            if args.strict:
-                return EXIT_USAGE
-            continue
-        rows.append(report_row(g, graph6, args.tol))
+    # Rows are written only after the whole input is read: any error leaves stdout empty.
     _write_output(rows, REPORT_COLUMNS, args.format, args.precision, args.out)
     return EXIT_OK
 
@@ -189,10 +190,8 @@ def _corrupted_check(ctx, tol):
 
 
 def cmd_verify(args) -> int:
-    if not 1 <= args.n_max <= ENUMERATION_CAP:
-        print(f"error: --n-max must be in 1..{ENUMERATION_CAP}", file=sys.stderr)
-        return EXIT_USAGE
     try:
+        graphs = enumerate_corpus(args.n_max, connected_only=not args.all_graphs)
         checks = select_checks(None if args.only is None else args.only.split(","))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -203,10 +202,8 @@ def cmd_verify(args) -> int:
 
     def corpus():
         nonlocal checked
-        for n in range(1, args.n_max + 1):
-            for g in enumerate_graphs(n, connected_only=not args.all_graphs):
-                checked += 1
-                yield g
+        for checked, g in enumerate(graphs, 1):
+            yield g
 
     if args.jobs > 1:
         # Workers are fed from the same stream, 64 graphs per message.
@@ -228,7 +225,7 @@ def cmd_verify(args) -> int:
 # search
 # ---------------------------------------------------------------------------
 
-def _parse_range(text: str) -> tuple[int, int]:
+def _parse_range(text: str) -> range:
     if ".." in text:
         lo_s, hi_s = text.split("..", 1)
         lo, hi = int(lo_s), int(hi_s)
@@ -236,7 +233,7 @@ def _parse_range(text: str) -> tuple[int, int]:
         lo = hi = int(text)
     if lo > hi:
         raise ValueError(f"empty range {text!r}")
-    return lo, hi
+    return range(lo, hi + 1)
 
 
 def _search_row(record: SearchRecord) -> dict:
@@ -248,24 +245,18 @@ def _search_row(record: SearchRecord) -> dict:
 
 def cmd_search(args) -> int:
     try:
-        n_lo, n_hi = _parse_range(args.n)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if not 2 <= n_lo <= n_hi <= SEARCH_CAP:
-        print(f"error: search supports 2 <= n <= {SEARCH_CAP}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
+        # The whole range is checked before any cell is searched.
+        n_values = check_search_sizes(_parse_range(args.n))
         if args.hong:
             if args.m is not None:
                 print("error: --m applies only to --bell-max", file=sys.stderr)
                 return EXIT_USAGE
-            records = hong_search(range(n_lo, n_hi + 1))
+            records = hong_search(n_values)
         else:
             if args.m is None:
                 print("error: --bell-max requires --m", file=sys.stderr)
                 return EXIT_USAGE
-            records = [bell_max_search(n, args.m) for n in range(n_lo, n_hi + 1)]
+            records = [bell_max_search(n, args.m) for n in n_values]
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -359,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="minimal irregularity among connected non-regular graphs")
     group.add_argument("--bell-max", action="store_true",
                        help="maximal irregularity among connected graphs")
-    p.add_argument("--n", required=True, help="vertex count or range, e.g. 4 or 4..6")
+    p.add_argument("--n", required=True, help="vertex count or range in 2..9, e.g. 4 or 4..6")
     p.add_argument("--m", type=int, help="edge count (--bell-max only, and required there)")
     p.add_argument("--out", help="output file (default stdout)")
     add_output_flags(p)

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
-from typing import Callable, Iterable, Mapping, NamedTuple
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .graphs import (
     ENUMERATION_CAP,
@@ -43,7 +43,6 @@ from .bounds import (
 
 DEFAULT_CHECK_TOL = 1e-9
 TIE_TOL = 1e-12
-SEARCH_CAP = 8
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +298,14 @@ def verify_graphs(
     return violations
 
 
+def enumerate_corpus(n_max: int, connected_only: bool = True) -> Iterator[Graph]:
+    """Every class with n <= n_max in enumeration order; n_max is checked on the call."""
+    if not 1 <= n_max <= ENUMERATION_CAP:
+        raise ValueError(f"corpus cap is 1 <= n_max <= {ENUMERATION_CAP}, got {n_max}")
+    return (g for n in range(1, n_max + 1)
+            for g in enumerate_graphs(n, connected_only=connected_only))
+
+
 def verify_corpus(
     n_max: int,
     connected_only: bool = True,
@@ -306,14 +313,7 @@ def verify_corpus(
     checks: Mapping[str, CheckFn] | None = None,
 ) -> list[ViolationReport]:
     """Run the checks (default: DEFAULT_CHECKS) on every class with n <= n_max."""
-    if not 1 <= n_max <= ENUMERATION_CAP:
-        raise ValueError(f"corpus cap is 1 <= n_max <= {ENUMERATION_CAP}, got {n_max}")
-    violations: list[ViolationReport] = []
-    for n in range(1, n_max + 1):
-        violations.extend(
-            verify_graphs(enumerate_graphs(n, connected_only=connected_only), tol, checks)
-        )
-    return violations
+    return verify_graphs(enumerate_corpus(n_max, connected_only), tol, checks)
 
 
 # ---------------------------------------------------------------------------
@@ -363,17 +363,25 @@ def _search_cell(graphs: Iterable[Graph], objective: str) -> SearchRecord | None
     )
 
 
+def check_search_sizes(n_values: Iterable[int]) -> list[int]:
+    """Return n_values as a list; raise ValueError unless each is in 2..ENUMERATION_CAP."""
+    sizes = list(n_values)
+    for n in sizes:
+        if not 2 <= n <= ENUMERATION_CAP:
+            raise ValueError(f"search capped at 2 <= n <= {ENUMERATION_CAP}, got {n}")
+    return sizes
+
+
 def hong_search(n_values: Iterable[int]) -> list[SearchRecord]:
     """Minimal-irregularity connected non-regular graph for each (n, m).
 
-    One record per feasible cell; cells whose only connected realizations
-    are regular produce no record.  Whether every minimizer has degree gap
-    1 is recorded, never asserted.
+    Each n must be in 2..ENUMERATION_CAP, and all are checked before any
+    class is enumerated.  One record per feasible cell; cells whose only
+    connected realizations are regular produce no record.  Whether every
+    minimizer has degree gap 1 is recorded, never asserted.
     """
     records: list[SearchRecord] = []
-    for n in n_values:
-        if not 2 <= n <= SEARCH_CAP:
-            raise ValueError(f"search capped at 2 <= n <= {SEARCH_CAP}, got {n}")
+    for n in check_search_sizes(n_values):
         # Classes arrive sorted by edge count: each run of equal m is one cell.
         irregular = (g for g in enumerate_graphs(n, connected_only=True)
                      if classify(g) is not RegularityClass.REGULAR)
@@ -382,9 +390,8 @@ def hong_search(n_values: Iterable[int]) -> list[SearchRecord]:
 
 
 def bell_max_search(n: int, m: int) -> SearchRecord:
-    """Maximal-irregularity connected graph with n vertices and m edges."""
-    if not 2 <= n <= SEARCH_CAP:
-        raise ValueError(f"search capped at 2 <= n <= {SEARCH_CAP}, got {n}")
+    """Maximal-irregularity connected graph with n (2..ENUMERATION_CAP) vertices and m edges."""
+    check_search_sizes([n])
     record = _search_cell(enumerate_graphs(n, m=m, connected_only=True), "max")
     if record is None:
         raise ValueError(f"no connected graph with n={n}, m={m}")

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import specirr
-from specirr import from_edges, parse_graph6, subdivided_prism, to_graph6
+from specirr import from_edges, graphs, parse_graph6, subdivided_prism, to_graph6
 from specirr.cli import REPORT_COLUMNS, main
 
 WITNESS_G6 = to_graph6(subdivided_prism(3))
@@ -81,6 +81,29 @@ def test_compute_strict_aborts(tmp_path, capsys):
     code, _, err = run_cli(["compute", str(src), "--strict"], capsys)
     assert code == 2
     assert "line 2" in err
+
+
+def test_compute_non_ascii_input_is_usage_error(tmp_path, capsys):
+    src = tmp_path / "graphs.g6"
+    src.write_bytes(b"D~{\nAB\xc3\xa9\nDhc\n")
+    code, out, err = run_cli(["compute", str(src)], capsys)
+    assert (code, out) == (2, "")
+    assert err == ("error: 'ascii' codec can't decode byte 0xc3 in position 6: "
+                   "ordinal not in range(128)\n")
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_compute_lines_end_where_splitlines_ends_them(source, tmp_path, monkeypatch, capsys):
+    # \x0b, \x0c and \x1c-\x1e end a line as \n does; line numbers count them.
+    text = "D~{\x0b!!!\x0cDhc\x1e\nC~\x1c!!!\x1d\r\n"
+    src = tmp_path / "graphs.g6"
+    src.write_bytes(text.encode("ascii"))
+    if source == "stdin":
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    code, out, err = run_cli(["compute", "-" if source == "stdin" else str(src)], capsys)
+    assert code == 0
+    assert [line.split(":")[0] for line in err.splitlines()] == ["line 2", "line 6"]
+    assert [r["graph6"] for r in parse_csv(out)[1]] == ["D~{", "Dhc", "C~"]
 
 
 def test_compute_graph6_column_is_the_canonical_input(tmp_path, capsys):
@@ -272,7 +295,25 @@ def test_search_hong_rejects_m(capsys):
 def test_search_cap(capsys):
     code, _, err = run_cli(["search", "--hong", "--n", "12"], capsys)
     assert code == 2
-    assert "2 <= n <= 8" in err
+    assert err == "error: search capped at 2 <= n <= 9, got 12\n"
+
+
+@pytest.mark.parametrize("args, err", [
+    (["search", "--hong", "--n", "2..10"], "search capped at 2 <= n <= 9, got 10"),
+    (["search", "--bell-max", "--n", "8..10", "--m", "9"],
+     "search capped at 2 <= n <= 9, got 10"),
+    (["verify", "--n-max", "10", "--jobs", "1"], "corpus cap is 1 <= n_max <= 9, got 10"),
+    (["verify", "--n-max", "10", "--jobs", "2"], "corpus cap is 1 <= n_max <= 9, got 10"),
+], ids=["hong", "bell-max", "verify-jobs-1", "verify-jobs-2"])
+def test_out_of_range_fails_before_any_enumeration(args, err, tmp_path, monkeypatch, capsys):
+    # The library refuses the whole request before the first class is built.
+    monkeypatch.chdir(tmp_path)  # where verify writes violations.csv
+    built = []
+    monkeypatch.setattr(graphs, "_class_forms", lambda n: built.append(n) or ())
+    code, out, stderr = run_cli(args, capsys)
+    assert (code, out, stderr) == (2, "", f"error: {err}\n")
+    assert built == []
+    assert not any(tmp_path.iterdir())
 
 
 # ---------------------------------------------------------------------------

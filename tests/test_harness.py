@@ -18,6 +18,7 @@ from specirr import (
     verify_corpus,
     verify_graphs,
 )
+from specirr import harness
 from specirr.bounds import l_high_exact
 from specirr.graphs import (
     canonical_form,
@@ -218,7 +219,22 @@ def test_hong_search_matches_a_per_cell_scan(n):
 
 def test_hong_cap():
     with pytest.raises(ValueError, match="capped"):
-        hong_search([9])
+        hong_search([10])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: hong_search([2, 10]),
+    lambda: verify_corpus(10),
+], ids=["hong_search", "verify_corpus"])
+def test_cap_is_checked_before_any_enumeration(call, monkeypatch):
+    # The whole request is checked first: no n is enumerated before
+    # n = 10 is refused.
+    calls = []
+    monkeypatch.setattr(harness, "enumerate_graphs",
+                        lambda *args, **kwargs: calls.append(args) or iter(()))
+    with pytest.raises(ValueError, match="cap"):
+        call()
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +265,7 @@ def test_bell_infeasible_cell():
 
 def test_bell_cap():
     with pytest.raises(ValueError, match="capped"):
-        bell_max_search(9, 8)
+        bell_max_search(10, 9)
 
 
 # ---------------------------------------------------------------------------
