@@ -379,27 +379,26 @@ def _root_candidates(masks: Sequence[int], n: int) -> list[int]:
     canonical string an isomorphism invariant while shrinking the root
     branching from n to the class size.
     """
-    colors = [masks[v].bit_count() for v in range(n)]
+    colors = [mv.bit_count() for mv in masks]
     nclasses = len(set(colors))
-    while nclasses < n:
-        sigs = []
-        for v in range(n):
-            mv = masks[v]
-            nb = sorted(colors[u] for u in range(n) if (mv >> u) & 1)
-            sigs.append((colors[v], tuple(nb)))
-        ids = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
-        colors = [ids[s] for s in sigs]
-        if len(ids) == nclasses:
-            break
-        nclasses = len(ids)
+    if nclasses < n:
+        nbrs = [[u for u in range(n) if (mv >> u) & 1] for mv in masks]
+        while True:
+            color = colors.__getitem__
+            sigs = [(c, tuple(sorted(map(color, nb)))) for c, nb in zip(colors, nbrs)]
+            ids = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
+            colors = [ids[s] for s in sigs]
+            if len(ids) == nclasses or len(ids) == n:
+                break
+            nclasses = len(ids)
     groups: dict[int, list[int]] = {}
-    for v in range(n):
-        groups.setdefault(colors[v], []).append(v)
+    for v, c in enumerate(colors):
+        groups.setdefault(c, []).append(v)
     return min(groups.values(), key=lambda vs: (len(vs), colors[vs[0]]))
 
 
 def _canonical_blocks(
-    masks: Sequence[int], n: int
+    masks: Sequence[int], n: int, automorphisms: list[tuple[int, ...]] | None = None
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The maximal blocks and a placement order that reaches them.
 
@@ -407,66 +406,103 @@ def _canonical_blocks(
     gives the graph whose graph6 bits are _block_bits(blocks).  Any two
     orders reaching the maximum differ by an automorphism, so a vertex
     picked by its position in the order is canonical up to automorphism.
+
+    If a list is passed as automorphisms, generators of the automorphism
+    group are appended to it, each a tuple p with p[v] the image of v.  A
+    leaf whose order o reaches the final maximum gives p[order[k]] = o[k].
+    Leaves are automorphisms only against the final maximum: those that
+    tied an earlier, smaller best are dropped when the best improves.  The
+    search prunes the subtrees of twins (two vertices whose masks agree
+    outside the pair), so each twin adds its transposition with the least
+    vertex of its twin class instead.
     """
     if n == 1:
         return (), (0,)
     best: list[int] | None = None
     best_order: tuple[int, ...] = ()
+    ties: list[tuple[int, ...]] = []  # leaf orders that reach best
+    collect = automorphisms is not None
     blocks = [0] * (n - 1)
     order = [0] * n
-    vertices = range(n)
-    roots = _root_candidates(masks, n)
+    last = n - 1
 
-    def search(depth: int, rem: int, tight: bool, bvec: tuple[int, ...]) -> None:
-        # bvec[v] = adjacency bits of v to the already-placed vertices, in
-        # placement order (most significant bit = position 0).
+    def search(depth: int, rem: list[int], remmask: int, tight: bool, bvec: list[int]) -> None:
+        # rem: the unplaced vertices in increasing order; bvec[i]: adjacency
+        # bits of rem[i] to the placed vertices, in placement order (most
+        # significant bit = position 0).  Both lists belong to this call.  A
+        # lone candidate is placed in the loop; the search recurses only
+        # where it branches.  cands and kept hold positions in rem, which at
+        # the root are the vertices themselves.
         nonlocal best, best_order
         if depth:
-            maxb = -1
-            cands: list[int] = []
-            r = rem
-            while r:
-                lsb = r & -r
-                r ^= lsb
-                v = lsb.bit_length() - 1
-                b = bvec[v]
-                if b > maxb:
-                    maxb = b
-                    cands = [v]
-                elif b == maxb:
-                    cands.append(v)
-            if tight and best is not None:
-                ref = best[depth - 1]
-                if maxb < ref:
+            while True:
+                maxb = max(bvec)
+                if tight and best is not None:
+                    ref = best[depth - 1]
+                    if maxb < ref:
+                        return
+                    tight = maxb == ref
+                blocks[depth - 1] = maxb
+                if depth == last:
+                    order[depth] = rem[0]
+                    if best is None or (not tight and blocks > best):
+                        best = blocks.copy()
+                        best_order = tuple(order)
+                        ties.clear()
+                    elif collect and (tight or blocks == best):
+                        ties.append(tuple(order))
                     return
-                tight = maxb == ref
-            blocks[depth - 1] = maxb
-            if depth == n - 1:
-                if best is None or (not tight and blocks > best):
-                    best = blocks.copy()
-                    order[depth] = cands[0]
-                    best_order = tuple(order)
-                return
+                if bvec.count(maxb) > 1:
+                    cands = [i for i, b in enumerate(bvec) if b == maxb]
+                    break
+                i = bvec.index(maxb)
+                v = rem[i]
+                order[depth] = v
+                mv = masks[v]
+                bvec = [(b << 1) | ((mv >> u) & 1) for u, b in zip(rem, bvec)]
+                del bvec[i]
+                del rem[i]
+                remmask &= ~(1 << v)
+                depth += 1
         else:
             cands = roots
         # Candidates whose swap is an automorphism (twins) explore
         # identical subtrees: keep one representative per twin group.
         kept: list[int] = []
-        for v in cands:
+        for i in cands:
+            v = rem[i]
             mv = masks[v]
-            vbit = 1 << v
-            for u in kept:
-                if not (masks[u] ^ mv) & rem & ~(1 << u) & ~vbit:
+            others = remmask & ~(1 << v)
+            for j in kept:
+                u = rem[j]
+                if not (masks[u] ^ mv) & others & ~(1 << u):
                     break
             else:
-                kept.append(v)
-        for v in kept:
+                kept.append(i)
+        for i in kept:
+            v = rem[i]
             order[depth] = v
-            child = tuple((bvec[u] << 1) | ((masks[u] >> v) & 1) for u in vertices)
-            search(depth + 1, rem & ~(1 << v), tight, child)
+            mv = masks[v]
+            child = [(b << 1) | ((mv >> u) & 1) for u, b in zip(rem, bvec)]
+            del child[i]
+            search(depth + 1, rem[:i] + rem[i + 1:], remmask & ~(1 << v), tight, child)
 
-    search(0, (1 << n) - 1, True, (0,) * n)
+    roots = _root_candidates(masks, n)
+    search(0, list(range(n)), (1 << n) - 1, True, [0] * n)
     assert best is not None
+    if collect:
+        for tie in ties:
+            p = [0] * n
+            for v, w in zip(best_order, tie):
+                p[v] = w
+            automorphisms.append(tuple(p))
+        for v in range(n):
+            for u in range(v):
+                if not (masks[u] ^ masks[v]) & ~((1 << u) | (1 << v)):
+                    p = list(range(n))
+                    p[u], p[v] = v, u
+                    automorphisms.append(tuple(p))
+                    break
     return tuple(best), best_order
 
 
@@ -526,16 +562,23 @@ def _class_forms(n: int) -> tuple[str, ...]:
       vertex, or deleting v* leaves a graph whose canonical text is the
       parent's.
 
+    Each parent tries one set S per orbit of its automorphism group: in
+    itertools.combinations order, a set in the orbit of an earlier set is
+    skipped.  The generators come from the parent's own canonical search.
+
     No class is lost: relabel any n-class so that its v* is the new vertex
     and the rest is the canonical representative of the class left by
-    deleting v*; that parent with S = N(v*) passes both tests.  No class
-    is produced twice: v* is canonical up to automorphism, so every
-    n-class is accepted only from the one parent class its v* deletion
-    leaves.  Copies can therefore come only from one parent's different
-    sets S, and each parent dedupes its own children by canonical blocks.
-    The result is sorted by (edge count, text), the same order as (edge
-    count, canonical_form): both pack one bit vector big-endian with equal
-    padding.
+    deleting v*; that parent with S = N(v*) passes both tests.  Skipping
+    loses nothing either: for an automorphism sigma of the parent, sigma
+    extended by top -> top maps the child of S onto the child of sigma(S),
+    so both children are one class, and both tests are invariant under
+    isomorphism.  No class is produced twice: v* is canonical up to
+    automorphism, so every n-class is accepted only from the one parent
+    class its v* deletion leaves.  Copies can therefore come only from one
+    parent's different sets S, and each parent dedupes its own children by
+    canonical blocks.  The result is sorted by (edge count, text), the same
+    order as (edge count, canonical_form): both pack one bit vector
+    big-endian with equal padding.
     """
     if n == 1:
         return (_graph6(1, 0),)
@@ -544,18 +587,37 @@ def _class_forms(n: int) -> tuple[str, ...]:
     for parent in _class_forms(top):
         pmasks = parse_graph6(parent).neighbor_masks
         pdegs = [pm.bit_count() for pm in pmasks]
+        automorphisms: list[tuple[int, ...]] = []
+        _canonical_blocks(pmasks, top, automorphisms)
+        # bitmasks of the sets tried so far and of their orbits
+        covered: set[int] = set()
         # canonical blocks of each distinct child -> whether it is accepted
         verdicts: dict[tuple[int, ...], bool] = {}
         for k in range(min(min(pdegs) + 1, top) + 1):
+            # the new vertex has the least degree only if S holds every
+            # parent vertex of degree below k
+            low = sum(1 << v for v in range(top) if pdegs[v] < k)
             for ext in itertools.combinations(range(top), k):
+                extmask = sum(1 << i for i in ext)
+                if low & ~extmask or extmask in covered:
+                    continue
+                if automorphisms:
+                    covered.add(extmask)
+                    stack = [ext]
+                    while stack:
+                        s = stack.pop()
+                        for p in automorphisms:
+                            image = [p[i] for i in s]
+                            imask = sum(1 << i for i in image)
+                            if imask not in covered:
+                                covered.add(imask)
+                                stack.append(image)
                 masks = list(pmasks)
                 degs = pdegs + [k]
                 for i in ext:
                     masks[i] |= 1 << top
                     degs[i] += 1
-                masks.append(sum(1 << i for i in ext))
-                if min(degs) < k:
-                    continue
+                masks.append(extmask)
                 sigs = {
                     v: sorted(degs[u] for u in range(n) if (masks[v] >> u) & 1)
                     for v in range(n) if degs[v] == k

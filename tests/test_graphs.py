@@ -46,6 +46,7 @@ ENUMERATION_DIGESTS = {
 
 # K3,3,3: a symmetric graph where the twin pruning cuts the canonical search.
 K333 = from_edges(9, [(u, v) for u in range(9) for v in range(u + 1, 9) if u // 3 != v // 3])
+K33 = from_edges(6, [(u, v) for u in range(3) for v in range(3, 6)])
 
 
 def _random_graph(rng, n, p=0.5):
@@ -292,6 +293,136 @@ def test_canonical_order_relabels_to_the_canonical_graph6():
         assert to_graph6(h.relabel(position)) == graphs._graph6(h.n, graphs._block_bits(blocks))
 
 
+# The canonical search as first written, kept as the reference that the
+# faster search must match order for order.
+
+def _reference_root_candidates(masks, n):
+    colors = [masks[v].bit_count() for v in range(n)]
+    nclasses = len(set(colors))
+    while nclasses < n:
+        sigs = []
+        for v in range(n):
+            mv = masks[v]
+            nb = sorted(colors[u] for u in range(n) if (mv >> u) & 1)
+            sigs.append((colors[v], tuple(nb)))
+        ids = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
+        colors = [ids[s] for s in sigs]
+        if len(ids) == nclasses:
+            break
+        nclasses = len(ids)
+    groups = {}
+    for v in range(n):
+        groups.setdefault(colors[v], []).append(v)
+    return min(groups.values(), key=lambda vs: (len(vs), colors[vs[0]]))
+
+
+def _reference_canonical_blocks(masks, n):
+    if n == 1:
+        return (), (0,)
+    best = None
+    best_order = ()
+    blocks = [0] * (n - 1)
+    order = [0] * n
+    vertices = range(n)
+    roots = _reference_root_candidates(masks, n)
+
+    def search(depth, rem, tight, bvec):
+        nonlocal best, best_order
+        if depth:
+            maxb = -1
+            cands = []
+            r = rem
+            while r:
+                lsb = r & -r
+                r ^= lsb
+                v = lsb.bit_length() - 1
+                b = bvec[v]
+                if b > maxb:
+                    maxb = b
+                    cands = [v]
+                elif b == maxb:
+                    cands.append(v)
+            if tight and best is not None:
+                ref = best[depth - 1]
+                if maxb < ref:
+                    return
+                tight = maxb == ref
+            blocks[depth - 1] = maxb
+            if depth == n - 1:
+                if best is None or (not tight and blocks > best):
+                    best = blocks.copy()
+                    order[depth] = cands[0]
+                    best_order = tuple(order)
+                return
+        else:
+            cands = roots
+        kept = []
+        for v in cands:
+            mv = masks[v]
+            vbit = 1 << v
+            for u in kept:
+                if not (masks[u] ^ mv) & rem & ~(1 << u) & ~vbit:
+                    break
+            else:
+                kept.append(v)
+        for v in kept:
+            order[depth] = v
+            child = tuple((bvec[u] << 1) | ((masks[u] >> v) & 1) for u in vertices)
+            search(depth + 1, rem & ~(1 << v), tight, child)
+
+    search(0, (1 << n) - 1, True, (0,) * n)
+    return tuple(best), best_order
+
+
+def _search_cases():
+    """Every class with n <= 7 under a random relabeling, 200 random graphs
+    each at n = 8 and n = 9, and four symmetric graphs."""
+    rng = random.Random(31)
+    cases = []
+    for n in range(1, 8):
+        for g in enumerate_graphs(n):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            cases.append(g.relabel(perm))
+    cases += [_random_graph(rng, n, rng.choice([0.2, 0.5, 0.8])) for n in (8, 9) for _ in range(200)]
+    return cases + [complete(9), cycle(9), K333, prism(4)]
+
+
+def test_canonical_blocks_match_the_reference_search():
+    for g in _search_cases():
+        masks = g.neighbor_masks
+        assert graphs._canonical_blocks(masks, g.n) == _reference_canonical_blocks(masks, g.n)
+
+
+def _automorphisms(g):
+    found = []
+    result = graphs._canonical_blocks(g.neighbor_masks, g.n, found)
+    assert result == graphs._canonical_blocks(g.neighbor_masks, g.n)
+    return found
+
+
+def test_enumeration_automorphisms_preserve_the_edges():
+    # Relabeled, so that the search meets leaves tying a best it later beats.
+    for g in _search_cases():
+        for p in _automorphisms(g):
+            assert sorted(p) == list(range(g.n))
+            assert {tuple(sorted((p[u], p[v]))) for u, v in g.edges} == g.edges
+
+
+@pytest.mark.parametrize("g", [cycle(9), K333, K33, prism(4)], ids=["C9", "K333", "K33", "prism4"])
+def test_enumeration_automorphisms_join_a_transitive_graph(g):
+    orbit = {0}
+    frontier = [0]
+    generators = _automorphisms(g)
+    while frontier:
+        v = frontier.pop()
+        for p in generators:
+            if p[v] not in orbit:
+                orbit.add(p[v])
+                frontier.append(p[v])
+    assert orbit == set(range(g.n))
+
+
 def test_canonical_form_cap():
     with pytest.raises(ValueError, match="capped"):
         canonical_form(complete(10))
@@ -339,15 +470,18 @@ def test_enumeration_digest(n_max):
 
 
 def test_enumeration_canonicalization_budget(monkeypatch):
-    # Canonical augmentation needs about two canonicalizations per class;
-    # extending every parent in all 2^(n-1) ways took 11 290 up to n = 7.
+    # Canonical augmentation with one extension set per Aut(parent) orbit
+    # takes 1 583 canonicalizations up to n = 7, about 1.3 per class, the
+    # parents' automorphism searches included.  Trying every set took
+    # 2 465, and extending every parent in all 2^(n-1) ways without the
+    # augmentation tests took 11 290.
     calls = 0
     canonical_blocks = graphs._canonical_blocks
 
-    def counted(masks, n):
+    def counted(masks, n, automorphisms=None):
         nonlocal calls
         calls += 1
-        return canonical_blocks(masks, n)
+        return canonical_blocks(masks, n, automorphisms)
 
     monkeypatch.setattr(graphs, "_canonical_blocks", counted)
     # An empty cache of its own rebuilds n <= 7; the module's cache, which
@@ -356,7 +490,7 @@ def test_enumeration_canonicalization_budget(monkeypatch):
     monkeypatch.setattr(graphs, "_class_forms", fresh)
     assert len(graphs._class_forms(7)) == KNOWN_TOTAL[7]
     assert fresh.cache_info().currsize == 7
-    assert calls <= 3000
+    assert calls <= 1700
 
 
 def test_enumeration_k3_cell():
