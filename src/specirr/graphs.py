@@ -398,30 +398,30 @@ def _root_candidates(masks: Sequence[int], n: int) -> list[int]:
 
 
 def _canonical_blocks(
-    masks: Sequence[int], n: int, automorphisms: list[tuple[int, ...]] | None = None
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The maximal blocks and a placement order that reaches them.
+    masks: Sequence[int], n: int
+) -> tuple[tuple[int, ...], tuple[int, ...], list[tuple[int, ...]]]:
+    """The maximal blocks, a placement order that reaches them, and
+    generators of the automorphism group.
 
     order[k] is the vertex placed at position k: renaming order[k] to k
     gives the graph whose graph6 bits are _block_bits(blocks).  Any two
     orders reaching the maximum differ by an automorphism, so a vertex
     picked by its position in the order is canonical up to automorphism.
 
-    If a list is passed as automorphisms, generators of the automorphism
-    group are appended to it, each a tuple p with p[v] the image of v.  A
-    leaf whose order o reaches the final maximum gives p[order[k]] = o[k].
-    Leaves are automorphisms only against the final maximum: those that
-    tied an earlier, smaller best are dropped when the best improves.  The
-    search prunes the subtrees of twins (two vertices whose masks agree
-    outside the pair), so each twin adds its transposition with the least
-    vertex of its twin class instead.
+    Each generator is a tuple p with p[v] the image of v.  A leaf whose
+    order o reaches the final maximum gives p[order[k]] = o[k].  Leaves are
+    automorphisms only against the final maximum: those that tied an
+    earlier, smaller best are dropped when the best improves.  The search
+    prunes the subtrees of twins (two vertices whose masks agree outside
+    the pair), so each twin adds its transposition with the least vertex of
+    its twin class instead.  Together they generate the whole group; the
+    proof is in _class_forms, which depends on it.
     """
     if n == 1:
-        return (), (0,)
+        return (), (0,), []
     best: list[int] | None = None
     best_order: tuple[int, ...] = ()
     ties: list[tuple[int, ...]] = []  # leaf orders that reach best
-    collect = automorphisms is not None
     blocks = [0] * (n - 1)
     order = [0] * n
     last = n - 1
@@ -449,7 +449,7 @@ def _canonical_blocks(
                         best = blocks.copy()
                         best_order = tuple(order)
                         ties.clear()
-                    elif collect and (tight or blocks == best):
+                    elif tight or blocks == best:
                         ties.append(tuple(order))
                     return
                 if bvec.count(maxb) > 1:
@@ -490,20 +490,20 @@ def _canonical_blocks(
     roots = _root_candidates(masks, n)
     search(0, list(range(n)), (1 << n) - 1, True, [0] * n)
     assert best is not None
-    if collect:
-        for tie in ties:
-            p = [0] * n
-            for v, w in zip(best_order, tie):
-                p[v] = w
-            automorphisms.append(tuple(p))
-        for v in range(n):
-            for u in range(v):
-                if not (masks[u] ^ masks[v]) & ~((1 << u) | (1 << v)):
-                    p = list(range(n))
-                    p[u], p[v] = v, u
-                    automorphisms.append(tuple(p))
-                    break
-    return tuple(best), best_order
+    generators = []
+    for tie in ties:
+        p = [0] * n
+        for v, w in zip(best_order, tie):
+            p[v] = w
+        generators.append(tuple(p))
+    for v in range(n):
+        for u in range(v):
+            if not (masks[u] ^ masks[v]) & ~((1 << u) | (1 << v)):
+                p = list(range(n))
+                p[u], p[v] = v, u
+                generators.append(tuple(p))
+                break
+    return tuple(best), best_order, generators
 
 
 def _block_bits(blocks: Sequence[int]) -> int:
@@ -538,10 +538,23 @@ def canonical_form(g: Graph) -> bytes:
 # Exhaustive enumeration of isomorphism classes
 # ---------------------------------------------------------------------------
 
-def _without_vertex(masks: Sequence[int], v: int) -> list[int]:
-    """Adjacency masks after deleting vertex v; later vertices shift down."""
-    low = (1 << v) - 1
-    return [(mu & low) | ((mu >> 1) & ~low) for u, mu in enumerate(masks) if u != v]
+def _orbit(mask: int, generators: Sequence[Sequence[int]]) -> set[int]:
+    """Orbit of a vertex-set bitmask under the group the permutations generate."""
+    orbit = {mask}
+    stack = [mask]
+    while stack:
+        s = stack.pop()
+        for p in generators:
+            image = 0
+            rest = s
+            while rest:
+                lsb = rest & -rest
+                image |= 1 << p[lsb.bit_length() - 1]
+                rest ^= lsb
+            if image not in orbit:
+                orbit.add(image)
+                stack.append(image)
+    return orbit
 
 
 @functools.lru_cache(maxsize=None)
@@ -550,35 +563,62 @@ def _class_forms(n: int) -> tuple[str, ...]:
 
     Classes on n vertices grow from the classes on n-1 vertices by canonical
     augmentation (McKay, J. Algorithms 26 (1998) 306-324).  A parent, the
-    canonical representative of an (n-1)-class, gets a new vertex joined to
-    a set S of its vertices, and the child is kept only if:
+    canonical representative of an (n-1)-class, gets a new vertex top
+    joined to a set S of its vertices.  The parent tries one set S per
+    orbit of its automorphism group: in itertools.combinations order, a set
+    in the orbit of an earlier set is skipped.  The child is kept only if:
 
-    - signature rule: the new vertex has the least signature (degree,
-      sorted neighbour degrees) among the child's vertices, ties allowed.
-      It then has minimum degree, so |S| <= 1 + the parent's minimum
-      degree and only those sets are generated;
-    - canonical deletion: among the vertices of least signature, let v* be
-      the one placed last by the child's canonical order.  v* is the new
-      vertex, or deleting v* leaves a graph whose canonical text is the
-      parent's.
+    - signature rule: top has the least signature (degree, sorted
+      neighbour degrees) among the child's vertices, ties allowed.  It then
+      has minimum degree, so |S| <= 1 + the parent's minimum degree and
+      only those sets are generated;
+    - orbit rule: among the vertices of least signature, let v* be the one
+      placed last by the child's canonical order.  top lies in the orbit of
+      v* under the child's automorphism group.
 
-    Each parent tries one set S per orbit of its automorphism group: in
-    itertools.combinations order, a set in the orbit of an earlier set is
-    skipped.  The generators come from the parent's own canonical search.
+    Both groups come from _canonical_blocks, and both rules need all of
+    the group, not a subgroup: a missing generator would keep two sets of
+    one orbit (a duplicate) or reject a child whose top is equivalent to
+    v* (a lost class).
 
-    No class is lost: relabel any n-class so that its v* is the new vertex
-    and the rest is the canonical representative of the class left by
-    deleting v*; that parent with S = N(v*) passes both tests.  Skipping
-    loses nothing either: for an automorphism sigma of the parent, sigma
-    extended by top -> top maps the child of S onto the child of sigma(S),
-    so both children are one class, and both tests are invariant under
-    isomorphism.  No class is produced twice: v* is canonical up to
-    automorphism, so every n-class is accepted only from the one parent
-    class its v* deletion leaves.  Copies can therefore come only from one
-    parent's different sets S, and each parent dedupes its own children by
-    canonical blocks.  The result is sorted by (edge count, text), the same
-    order as (edge count, canonical_form): both pack one bit vector
-    big-endian with equal padding.
+    The generators do generate the whole group.  Let R be the root class and
+    M the maximal block string over orders starting in R.  An order reaching
+    M places, at each depth, a vertex of the largest block, so it is a leaf
+    of the search tree, and any two such leaves differ by an automorphism;
+    as R is invariant, the leaves reaching M are exactly the images
+    alpha(best_order) for alpha in Aut, one leaf per automorphism.  Tight
+    pruning cuts only subtrees below the best so far, so never a leaf
+    reaching M, and every reached leaf that ties the final maximum gives a
+    generator p with p(best_order) = leaf.  Twin pruning drops a candidate v
+    whose twin u (equal blocks and equal adjacency to the unplaced vertices,
+    so masks equal outside the pair) is kept at the same node: the dropped
+    subtree is the image of u's subtree under the transposition (u v).
+    Twinhood is an equivalence relation, so the returned transpositions with
+    the least vertex of each twin class generate (u v).  By induction on the
+    depth at which a leaf reaching M first leaves the explored tree, each
+    such leaf is a product of returned generators applied to a reached one,
+    so the group they generate has the same regular orbit of leaves as Aut,
+    and equals it.
+
+    No class is lost.  Relabel any n-class G so that its v* is top and G
+    minus top is the canonical representative P of its class.  Then G is
+    the child of P with S = N(top), and the set sigma(S) tried from S's
+    orbit gives a child isomorphic to G by sigma extended with top -> top.
+    That child passes both rules, as both are invariant under isomorphism:
+    signatures are, and v* is canonical up to automorphism, so an
+    isomorphism from G takes top = v* into the orbit of the child's v*.
+
+    No class is produced twice.  A kept child minus top is isomorphic to
+    the child minus v*, so every n-class is kept only from the one parent
+    class its v* deletion leaves.  If sets S and S' of one parent give
+    isomorphic kept children, an isomorphism between them can be composed
+    with an automorphism so that it fixes top (both tops lie in the orbit
+    of v*); restricted to the parent it is an automorphism mapping S to
+    S', so only one of them was tried.
+
+    The result is sorted by (edge count, text), the same order as (edge
+    count, canonical_form): both pack one bit vector big-endian with equal
+    padding.
     """
     if n == 1:
         return (_graph6(1, 0),)
@@ -587,12 +627,9 @@ def _class_forms(n: int) -> tuple[str, ...]:
     for parent in _class_forms(top):
         pmasks = parse_graph6(parent).neighbor_masks
         pdegs = [pm.bit_count() for pm in pmasks]
-        automorphisms: list[tuple[int, ...]] = []
-        _canonical_blocks(pmasks, top, automorphisms)
+        automorphisms = _canonical_blocks(pmasks, top)[2]
         # bitmasks of the sets tried so far and of their orbits
         covered: set[int] = set()
-        # canonical blocks of each distinct child -> whether it is accepted
-        verdicts: dict[tuple[int, ...], bool] = {}
         for k in range(min(min(pdegs) + 1, top) + 1):
             # the new vertex has the least degree only if S holds every
             # parent vertex of degree below k
@@ -601,17 +638,7 @@ def _class_forms(n: int) -> tuple[str, ...]:
                 extmask = sum(1 << i for i in ext)
                 if low & ~extmask or extmask in covered:
                     continue
-                if automorphisms:
-                    covered.add(extmask)
-                    stack = [ext]
-                    while stack:
-                        s = stack.pop()
-                        for p in automorphisms:
-                            image = [p[i] for i in s]
-                            imask = sum(1 << i for i in image)
-                            if imask not in covered:
-                                covered.add(imask)
-                                stack.append(image)
+                covered |= _orbit(extmask, automorphisms)
                 masks = list(pmasks)
                 degs = pdegs + [k]
                 for i in ext:
@@ -625,14 +652,10 @@ def _class_forms(n: int) -> tuple[str, ...]:
                 least = sigs[top]
                 if any(sig < least for sig in sigs.values()):
                     continue
-                blocks, order = _canonical_blocks(masks, n)
-                if blocks in verdicts:
-                    continue
+                blocks, order, generators = _canonical_blocks(masks, n)
                 last = max((v for v, sig in sigs.items() if sig == least), key=order.index)
-                verdicts[blocks] = last == top or parent == _graph6(
-                    top, _block_bits(_canonical_blocks(_without_vertex(masks, last), top)[0])
-                )
-        forms.extend(_graph6(n, _block_bits(b)) for b, ok in verdicts.items() if ok)
+                if 1 << top in _orbit(1 << last, generators):
+                    forms.append(_graph6(n, _block_bits(blocks)))
     return tuple(sorted(forms, key=lambda text: (_graph6_edge_count(text), text)))
 
 

@@ -285,7 +285,7 @@ def test_canonical_order_relabels_to_the_canonical_graph6():
         perm = list(range(g.n))
         rng.shuffle(perm)
         h = g.relabel(perm)
-        blocks, order = graphs._canonical_blocks(h.neighbor_masks, h.n)
+        blocks, order, _ = graphs._canonical_blocks(h.neighbor_masks, h.n)
         assert sorted(order) == list(range(h.n))
         position = [0] * h.n
         for k, v in enumerate(order):
@@ -391,14 +391,11 @@ def _search_cases():
 def test_canonical_blocks_match_the_reference_search():
     for g in _search_cases():
         masks = g.neighbor_masks
-        assert graphs._canonical_blocks(masks, g.n) == _reference_canonical_blocks(masks, g.n)
+        assert graphs._canonical_blocks(masks, g.n)[:2] == _reference_canonical_blocks(masks, g.n)
 
 
 def _automorphisms(g):
-    found = []
-    result = graphs._canonical_blocks(g.neighbor_masks, g.n, found)
-    assert result == graphs._canonical_blocks(g.neighbor_masks, g.n)
-    return found
+    return graphs._canonical_blocks(g.neighbor_masks, g.n)[2]
 
 
 def test_enumeration_automorphisms_preserve_the_edges():
@@ -421,6 +418,39 @@ def test_enumeration_automorphisms_join_a_transitive_graph(g):
                 orbit.add(p[v])
                 frontier.append(p[v])
     assert orbit == set(range(g.n))
+
+
+def _generated_group(generators, n):
+    group = {tuple(range(n))}
+    frontier = list(group)
+    while frontier:
+        q = frontier.pop()
+        for p in generators:
+            pq = tuple(p[q[v]] for v in range(n))
+            if pq not in group:
+                group.add(pq)
+                frontier.append(pq)
+    return group
+
+
+def test_canonical_search_generators_generate_the_whole_group():
+    # Enumeration keeps a child only if its new vertex lies in the orbit of
+    # v* under these generators, so a missing one would lose classes.  The
+    # group they generate must be every automorphism, found here by trying
+    # all n! permutations.
+    rng = random.Random(37)
+    cases = []
+    for n in range(1, 7):
+        for g in enumerate_graphs(n):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            cases.append(g.relabel(perm))
+    for g in cases + [K33]:
+        brute = {
+            p for p in itertools.permutations(range(g.n))
+            if {tuple(sorted((p[u], p[v]))) for u, v in g.edges} == g.edges
+        }
+        assert _generated_group(_automorphisms(g), g.n) == brute, to_graph6(g)
 
 
 def test_canonical_form_cap():
@@ -471,17 +501,17 @@ def test_enumeration_digest(n_max):
 
 def test_enumeration_canonicalization_budget(monkeypatch):
     # Canonical augmentation with one extension set per Aut(parent) orbit
-    # takes 1 583 canonicalizations up to n = 7, about 1.3 per class, the
-    # parents' automorphism searches included.  Trying every set took
-    # 2 465, and extending every parent in all 2^(n-1) ways without the
-    # augmentation tests took 11 290.
+    # and McKay's orbit test for acceptance takes 1 494 canonicalizations
+    # up to n = 7, about 1.2 per class, the parents' automorphism searches
+    # included.  The budget fails the 1 583 taken when each child whose v*
+    # is not the new vertex also canonicalized the graph left by deleting v*.
     calls = 0
     canonical_blocks = graphs._canonical_blocks
 
-    def counted(masks, n, automorphisms=None):
+    def counted(masks, n):
         nonlocal calls
         calls += 1
-        return canonical_blocks(masks, n, automorphisms)
+        return canonical_blocks(masks, n)
 
     monkeypatch.setattr(graphs, "_canonical_blocks", counted)
     # An empty cache of its own rebuilds n <= 7; the module's cache, which
@@ -490,7 +520,7 @@ def test_enumeration_canonicalization_budget(monkeypatch):
     monkeypatch.setattr(graphs, "_class_forms", fresh)
     assert len(graphs._class_forms(7)) == KNOWN_TOTAL[7]
     assert fresh.cache_info().currsize == 7
-    assert calls <= 1700
+    assert calls <= 1550
 
 
 def test_enumeration_k3_cell():
