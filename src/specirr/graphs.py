@@ -5,13 +5,15 @@ as per-vertex bitmasks.  The module covers construction and validation,
 graph6 text I/O, degree statistics in exact rational arithmetic,
 near-regularity classification, the standard generator families, canonical
 forms under isomorphism, and exhaustive enumeration of isomorphism classes
-up to ENUMERATION_CAP vertices.
+up to ENUMERATION_CAP vertices, kept on disk under pinned SHA-256 digests.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
+import os
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -21,6 +23,22 @@ from typing import Iterable, Iterator, Sequence
 # nine vertices keeps every corpus run at desk scale.
 ENUMERATION_CAP = 9
 GRAPH6_MAX_N = 62
+
+# SHA-256 of each level's bytes, "".join(text + "\n" for text in
+# _class_forms(n)) in ASCII: pins the classes on n vertices and their order.
+# A stored level is used only when it matches, and a build that misses it
+# is an enumeration bug.
+CLASS_DIGESTS = {
+    1: "ecf5de1a2ecc66a1876a832804c64f6b5125784e94c82285d9720621c613ab46",
+    2: "b7cd2a004ade86133158ffa94292f1d79a1fa154874706bf33b9e841cd3fa4cb",
+    3: "ad734c7f1aa188ac62d0ba1b2c514d019e1e2602e846f9bcc471f5850e392ab8",
+    4: "ed8abc41a92e685877ff1d8e513362845300676addb95cfac953705d4c45d710",
+    5: "dae3dc08363c08fce2d46906a982b3d17f98e888c96261e8d7c6bc05c60c227c",
+    6: "4eb098f4bf81341d2474903cb13adcc83a2e2887daa703c11856cc80ac10d856",
+    7: "cf6a02b850e9178b813725856ebd8b653137deb45c5fab51347b16e6c157ffde",
+    8: "cf557333082f5799c63f1b5261830c1e975e73ab3f954a1fb7654bf9119bf526",
+    9: "73f6d97e625a48619d36bd45fbee7b4c036a1d88c970625537864334af966d27",
+}
 
 
 # ---------------------------------------------------------------------------
@@ -557,9 +575,74 @@ def _orbit(mask: int, generators: Sequence[Sequence[int]]) -> set[int]:
     return orbit
 
 
+def _class_cache_dir() -> str:
+    """$XDG_CACHE_HOME/specirr/classes, with ~/.cache as the base when the
+    variable is unset, empty or relative (the XDG base-directory rules)."""
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):
+        base = os.path.join(os.path.expanduser("~"), ".cache")
+    return os.path.join(base, "specirr", "classes")
+
+
+def _sha256(data: bytes) -> str:
+    # CPython's own SHA-256 module, imported here and not at the top, so a
+    # run that never enumerates loads none.  hashlib would load OpenSSL:
+    # about 3.7 MB of resident memory, twice what `search --hong --n 7`
+    # uses beyond its imports.
+    try:
+        from _sha2 import sha256  # CPython 3.12+
+    except ImportError:
+        try:
+            from _sha256 import sha256  # CPython 3.10, 3.11
+        except ImportError:
+            from hashlib import sha256
+    return sha256(data).hexdigest()
+
+
 @functools.lru_cache(maxsize=None)
 def _class_forms(n: int) -> tuple[str, ...]:
-    """Canonical graph6 text of every isomorphism class on n vertices.
+    """Canonical graph6 text of every isomorphism class on n vertices,
+    sorted by (edge count, text), stored on disk once it has been checked.
+
+    The level is read from n{n}.g6 in _class_cache_dir() and used only when
+    its bytes hash to CLASS_DIGESTS[n]; it then needs none of the levels
+    below it.  A missing, unreadable, tampered or stale file is never
+    trusted: the level is built by _augment_classes, which may read or build
+    the level below, and its bytes must match the same pin.  A matching build
+    is stored by writing a file of this process's own and renaming it over
+    n{n}.g6, so a reader sees the old file or the whole new one.  A cache
+    that cannot be written changes nothing but the cost of the next run.
+    To clear the cache, delete the directory.
+    """
+    path = os.path.join(_class_cache_dir(), f"n{n}.g6")
+    try:
+        with open(path, "rb") as f:
+            stored = f.read()
+    except OSError:
+        stored = None
+    if stored is not None and _sha256(stored) == CLASS_DIGESTS[n]:
+        return tuple(stored.decode("ascii").split("\n")[:-1])
+    forms = _augment_classes(n)
+    data = "".join(text + "\n" for text in forms).encode("ascii")
+    if _sha256(data) != CLASS_DIGESTS[n]:
+        raise AssertionError(
+            f"the {len(forms)} classes built on {n} vertices miss their pinned SHA-256"
+        )
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        with open(tmp, "wb") as f:
+            f.write(data)
+        os.replace(tmp, path)
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+    return forms
+
+
+def _augment_classes(n: int) -> tuple[str, ...]:
+    """Canonical graph6 text of every isomorphism class on n vertices,
+    built from the classes on n - 1 vertices.
 
     Classes on n vertices grow from the classes on n-1 vertices by canonical
     augmentation (McKay, J. Algorithms 26 (1998) 306-324).  A parent, the
@@ -667,9 +750,10 @@ def enumerate_graphs(
     """Yield one representative per isomorphism class on n vertices.
 
     Each representative is the canonical relabeling, decoded from the
-    graph6 text the class cache holds.  The stream is deterministic (sorted
-    by edge count, then canonical graph6).  Optionally filter by edge count
-    and/or connectivity.
+    graph6 text of _class_forms(n): the classes are enumerated once per
+    process, and once per machine while the on-disk copy matches its pinned
+    SHA-256.  The stream is deterministic (sorted by edge count, then
+    canonical graph6).  Optionally filter by edge count and/or connectivity.
     """
     if not 1 <= n <= ENUMERATION_CAP:
         raise ValueError(f"enumeration capped at 1 <= n <= {ENUMERATION_CAP}, got {n}")

@@ -209,7 +209,7 @@ def _check_low_subregular_rho_cap(ctx: BoundReport, tol: float):
 
 
 def _check_oracle_agreement(ctx: BoundReport, tol: float):
-    oracle = spectral_oracle(ctx.graph)
+    oracle = spectral_oracle(ctx.graph, ctx.rho)
     return [Claim("oracle-agreement", abs(ctx.rho - oracle), 0.0, tol)]
 
 

@@ -187,7 +187,7 @@ def _bracket_radius(masks: Sequence[int], n: int, estimate: float) -> float:
     return hi / (1 << _GRID_BITS)
 
 
-def spectral_oracle(g: Graph) -> float:
+def spectral_oracle(g: Graph, estimate: float | None = None) -> float:
     """Adjacency spectral radius certified by exact inertia counts.
 
     The radius is bracketed between adjacent points of the grid
@@ -195,11 +195,13 @@ def spectral_oracle(g: Graph) -> float:
     eigenvalues above each point (Bareiss leading minors, see
     _count_above); the bracket's midpoint is returned, within 2^-41
     (about 4.5e-13) of the true radius.  No grid point is an integer, so
-    no leading minor can vanish.  The eigensolve only seeds the search;
-    the result does not depend on it.  A disconnected graph or a repeated
-    top eigenvalue needs no special case.
+    no leading minor can vanish.  The estimate, a float rho already
+    computed or else one eigensolve, only seeds the search; the result does
+    not depend on it.  A disconnected graph or a repeated top eigenvalue
+    needs no special case.
     """
     if g.n > ORACLE_MAX_N:
         raise ValueError(f"oracle capped at n <= {ORACLE_MAX_N}, got {g.n}")
-    estimate = float(np.linalg.eigvalsh(_adjacency_matrix(g))[-1])
+    if estimate is None:
+        estimate = float(np.linalg.eigvalsh(_adjacency_matrix(g))[-1])
     return _bracket_radius(g.neighbor_masks, g.n, estimate)

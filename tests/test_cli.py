@@ -308,12 +308,16 @@ def test_search_cap(capsys):
 def test_out_of_range_fails_before_any_enumeration(args, err, tmp_path, monkeypatch, capsys):
     # The library refuses the whole request before the first class is built.
     monkeypatch.chdir(tmp_path)  # where verify writes violations.csv
+    cache_home = tmp_path / "cache"
+    cache_home.mkdir()
+    monkeypatch.setenv("XDG_CACHE_HOME", str(cache_home))
     built = []
     monkeypatch.setattr(graphs, "_class_forms", lambda n: built.append(n) or ())
     code, out, stderr = run_cli(args, capsys)
     assert (code, out, stderr) == (2, "", f"error: {err}\n")
     assert built == []
-    assert not any(tmp_path.iterdir())
+    assert [p.name for p in tmp_path.iterdir()] == ["cache"]
+    assert not any(cache_home.iterdir())
 
 
 # ---------------------------------------------------------------------------

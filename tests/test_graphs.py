@@ -499,28 +499,113 @@ def test_enumeration_digest(n_max):
     assert h.hexdigest() == ENUMERATION_DIGESTS[n_max]
 
 
-def test_enumeration_canonicalization_budget(monkeypatch):
+def _fresh_class_forms(monkeypatch, cache_home):
+    """An empty in-process cache over the on-disk one under cache_home; the
+    module's cache, which later tests reuse, is put back untouched."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(cache_home))
+    fresh = functools.lru_cache(maxsize=None)(graphs._class_forms.__wrapped__)
+    monkeypatch.setattr(graphs, "_class_forms", fresh)
+    return fresh
+
+
+def _count_canonicalizations(monkeypatch):
+    calls = [0]
+    canonical_blocks = graphs._canonical_blocks
+
+    def counted(masks, n):
+        calls[0] += 1
+        return canonical_blocks(masks, n)
+
+    monkeypatch.setattr(graphs, "_canonical_blocks", counted)
+    return calls
+
+
+def _level_bytes(n):
+    return "".join(text + "\n" for text in graphs._class_forms(n)).encode("ascii")
+
+
+def test_enumeration_canonicalization_budget(monkeypatch, tmp_path):
     # Canonical augmentation with one extension set per Aut(parent) orbit
     # and McKay's orbit test for acceptance takes 1 494 canonicalizations
     # up to n = 7, about 1.2 per class, the parents' automorphism searches
     # included.  The budget fails the 1 583 taken when each child whose v*
     # is not the new vertex also canonicalized the graph left by deleting v*.
-    calls = 0
-    canonical_blocks = graphs._canonical_blocks
-
-    def counted(masks, n):
-        nonlocal calls
-        calls += 1
-        return canonical_blocks(masks, n)
-
-    monkeypatch.setattr(graphs, "_canonical_blocks", counted)
-    # An empty cache of its own rebuilds n <= 7; the module's cache, which
-    # later tests reuse, is put back untouched.
-    fresh = functools.lru_cache(maxsize=None)(graphs._class_forms.__wrapped__)
-    monkeypatch.setattr(graphs, "_class_forms", fresh)
+    # An empty cache directory makes it count a cold build of every level:
+    # each kept class is canonicalized at least once.
+    fresh = _fresh_class_forms(monkeypatch, tmp_path)
+    calls = _count_canonicalizations(monkeypatch)
     assert len(graphs._class_forms(7)) == KNOWN_TOTAL[7]
     assert fresh.cache_info().currsize == 7
-    assert calls <= 1550
+    assert sum(KNOWN_TOTAL[n] for n in range(2, 8)) <= calls[0] <= 1550
+
+
+def test_class_digests_pin_every_level():
+    assert sorted(graphs.CLASS_DIGESTS) == list(range(1, graphs.ENUMERATION_CAP + 1))
+
+
+def test_class_cache_cold_build_writes_the_pinned_levels(monkeypatch, tmp_path):
+    expected = {n: _level_bytes(n) for n in range(1, 7)}
+    _fresh_class_forms(monkeypatch, tmp_path)
+    assert _level_bytes(6) == expected[6]
+    stored = tmp_path / "specirr" / "classes"
+    assert sorted(p.name for p in stored.iterdir()) == [f"n{n}.g6" for n in range(1, 7)]
+    for n in range(1, 7):
+        data = (stored / f"n{n}.g6").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == graphs.CLASS_DIGESTS[n]
+        assert data == expected[n]
+
+
+def test_class_cache_warm_load_builds_nothing(monkeypatch, tmp_path):
+    expected = graphs._class_forms(7)
+    _fresh_class_forms(monkeypatch, tmp_path)
+    graphs._class_forms(7)  # cold: stores n = 1..7
+    fresh = _fresh_class_forms(monkeypatch, tmp_path)
+    calls = _count_canonicalizations(monkeypatch)
+    assert graphs._class_forms(7) == expected
+    assert calls[0] == 0
+    assert fresh.cache_info().currsize == 1  # no level below was needed
+
+
+def _flip_one_byte(data, n):
+    return data[:7] + bytes([data[7] ^ 1]) + data[8:]
+
+
+@pytest.mark.parametrize("spoil", [
+    _flip_one_byte,
+    lambda data, n: data[:-5],
+    lambda data, n: _level_bytes(n - 1),
+], ids=["flipped-byte", "truncated", "other-level"])
+def test_class_cache_bad_file_is_rebuilt_and_overwritten(spoil, monkeypatch, tmp_path):
+    n = 6
+    good = _level_bytes(n)
+    stored = tmp_path / "specirr" / "classes"
+    stored.mkdir(parents=True)
+    (stored / f"n{n}.g6").write_bytes(spoil(good, n))
+    expected = graphs._class_forms(n)
+    _fresh_class_forms(monkeypatch, tmp_path)
+    calls = _count_canonicalizations(monkeypatch)
+    assert graphs._class_forms(n) == expected
+    assert calls[0] > 0
+    assert (stored / f"n{n}.g6").read_bytes() == good
+    assert not list(stored.glob("*.tmp"))
+
+
+def test_class_cache_unwritable_directory_changes_nothing(monkeypatch, tmp_path):
+    blocker = tmp_path / "not-a-directory"
+    blocker.write_text("")
+    expected = graphs._class_forms(6)
+    _fresh_class_forms(monkeypatch, blocker)
+    assert graphs._class_forms(6) == expected
+    assert blocker.read_text() == ""
+
+
+def test_class_build_missing_its_pin_raises_and_stores_nothing(monkeypatch, tmp_path):
+    _fresh_class_forms(monkeypatch, tmp_path)
+    monkeypatch.setitem(graphs.CLASS_DIGESTS, 5, "0" * 64)
+    with pytest.raises(AssertionError, match="5 vertices"):
+        graphs._class_forms(5)
+    stored = tmp_path / "specirr" / "classes"
+    assert sorted(p.name for p in stored.iterdir()) == [f"n{n}.g6" for n in range(1, 5)]
 
 
 def test_enumeration_k3_cell():
