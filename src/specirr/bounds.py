@@ -3,14 +3,18 @@
 Every formula consumes exact integer degree statistics (n, m, max/min
 degree, sum of squared degrees) with the degree variance carried as an
 exact rational; conversion to float happens at the last step, so there is
-no cancellation in var = (1/n) sum d^2 - (2m/n)^2.
+no cancellation in var = (1/n) sum d^2 - (2m/n)^2.  A value that is a
+quotient of two integers is the integer division a / b, which Python
+rounds correctly, so it equals float(Fraction(a, b)).
 
 build_context evaluates a graph once (degree statistics, class,
 connectivity, both spectral radii) and returns one BoundReport holding
-those values, the irregularity and every bound, with applicability rules
-(connectivity, regularity, vertex-count floors) enforced; bound_report is
-the same call under its public name.  The raw formula functions trust
-their stated preconditions.
+those values, the irregularity and every bound.  One rule,
+_applicability, decides from the statistics, class and connectivity which
+bounds apply (connectivity, regularity, vertex-count floors) and why the
+rest do not; a field is None exactly when that rule marks it
+inapplicable.  bound_report is build_context under a second name.  The
+raw formula functions trust their stated preconditions.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ def epsilon(g: Graph, tol: float = DEFAULT_TOL) -> float:
     the float can land a few ulps below 0.
     """
     rho = adjacency_spectral_radius(g, tol).rho
-    return rho - float(Fraction(2 * g.m, g.n))
+    return rho - 2 * g.m / g.n
 
 
 # ---------------------------------------------------------------------------
@@ -89,19 +93,18 @@ def subregular_bounds(s: DegreeStats, c: RegularityClass) -> float:
     """Irregularity lower bound for connected subregular graphs on n >= 7.
 
     High subregular: (n^2 - 2n + 3) / (n^3 Dmax).
-    Low subregular:  (2n^2 - 4n - 3) / (2 n^3 (Dmax - 1 + 1/Dmax)).
+    Low subregular:  (2n^2 - 4n - 3) / (2 n^3 (Dmax - 1 + 1/Dmax)),
+    evaluated as the one integer quotient
+    (2n^2 - 4n - 3) Dmax / (2 n^3 (Dmax^2 - Dmax + 1)).
     Connectivity is asserted by the caller.
     """
     if s.n < 7:
         raise ValueError(f"subregular bounds require n >= 7, got n={s.n}")
     n, dmax = s.n, s.max_degree
     if c is RegularityClass.HIGH_SUBREGULAR:
-        return float(Fraction(n * n - 2 * n + 3, n ** 3 * dmax))
+        return (n * n - 2 * n + 3) / (n ** 3 * dmax)
     if c is RegularityClass.LOW_SUBREGULAR:
-        return float(
-            Fraction(2 * n * n - 4 * n - 3)
-            / (2 * n ** 3 * (Fraction(dmax) - 1 + Fraction(1, dmax)))
-        )
+        return (2 * n * n - 4 * n - 3) * dmax / (2 * n ** 3 * (dmax * dmax - dmax + 1))
     raise ValueError(f"subregular bounds need a subregular class, got {c.value}")
 
 
@@ -111,7 +114,7 @@ def subregular_bounds(s: DegreeStats, c: RegularityClass) -> float:
 
 def hofmeister_lower(s: DegreeStats) -> float:
     """Hofmeister lower bound sqrt(sum d^2 / n) <= rho."""
-    return math.sqrt(float(Fraction(s.sum_sq_degrees, s.n)))
+    return math.sqrt(s.sum_sq_degrees / s.n)
 
 
 def yu_lu_tian_lower(g: Graph) -> float:
@@ -130,7 +133,7 @@ def yu_lu_tian_lower(g: Graph) -> float:
 
 def _yu_lu_tian(s: DegreeStats) -> float:
     num = sum(t * t for t in s.two_degrees)
-    return math.sqrt(float(Fraction(num, s.sum_sq_degrees)))
+    return math.sqrt(num / s.sum_sq_degrees)
 
 
 def hong_shu_fang_upper(s: DegreeStats) -> float:
@@ -149,7 +152,7 @@ def low_subregular_rho_upper(dmax: int) -> float:
     """rho <= Dmax - 1 + 1/Dmax for connected low subregular graphs."""
     if dmax < 1:
         raise ValueError(f"max degree must be >= 1, got {dmax}")
-    return float(Fraction(dmax) - 1 + Fraction(1, dmax))
+    return (dmax * dmax - dmax + 1) / dmax
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +299,35 @@ class BoundReport:
     applicability: dict[str, str] = field(default_factory=dict)
 
 
+def _applicability(s: DegreeStats, cls: RegularityClass, connected: bool) -> dict[str, str]:
+    """Why a gated bound is left out, keyed by BoundReport field.
+
+    Each gated field (cgs, sub_high, sub_low, ylt_lb, hsf_ub) gets the
+    first gate it fails, as an "inapplicable: ..." note; the bounds that
+    stay defined but read 0.0 on an edgeless graph get a "degenerate: ..."
+    note.
+    """
+    # Each chain names the first failed gate, or ends falsy when all hold.
+    disconnected = not connected and "graph is disconnected"
+    small = s.n < 7 and f"n={s.n} < 7"
+    other_class = f"graph is {cls.value}"
+    reasons = {
+        "cgs": disconnected
+               or (cls is RegularityClass.REGULAR and "graph is regular")
+               or (s.n < 4 and "n < 4 (the 3-vertex path falsifies the bound)"),
+        "sub_high": (cls is not RegularityClass.HIGH_SUBREGULAR and other_class)
+                    or disconnected or small,
+        "sub_low": (cls is not RegularityClass.LOW_SUBREGULAR and other_class)
+                   or disconnected or small,
+        "ylt_lb": disconnected or (s.m == 0 and "graph has no edges"),
+        "hsf_ub": disconnected,
+    }
+    edgeless = ("nikiforov", "main", "cg_degree") if s.m == 0 else ()
+    notes = dict.fromkeys(edgeless, "degenerate: graph has no edges")
+    notes.update((key, "inapplicable: " + why) for key, why in reasons.items() if why)
+    return notes
+
+
 def build_context(g: Graph, tol: float = DEFAULT_TOL) -> BoundReport:
     """Evaluate g once: degree statistics, class, connectivity, both
     spectral radii, and every applicable bound built from those values."""
@@ -303,54 +335,7 @@ def build_context(g: Graph, tol: float = DEFAULT_TOL) -> BoundReport:
     cls = classify(g)
     connected = is_connected(g)
     summary = spectral_summary(g, tol)
-    notes: dict[str, str] = {}
-
-    if s.m == 0:
-        for name in ("nikiforov", "main", "cg_degree"):
-            notes[name] = "degenerate: graph has no edges"
-
-    if not connected:
-        cgs = None
-        notes["cgs"] = "inapplicable: graph is disconnected"
-    elif cls is RegularityClass.REGULAR:
-        cgs = None
-        notes["cgs"] = "inapplicable: graph is regular"
-    elif s.n < 4:
-        cgs = None
-        notes["cgs"] = "inapplicable: n < 4 (the 3-vertex path falsifies the bound)"
-    else:
-        cgs = cgs_bound(s)
-
-    sub_high = sub_low = None
-    if cls is RegularityClass.HIGH_SUBREGULAR or cls is RegularityClass.LOW_SUBREGULAR:
-        key = "sub_high" if cls is RegularityClass.HIGH_SUBREGULAR else "sub_low"
-        other = "sub_low" if key == "sub_high" else "sub_high"
-        notes[other] = f"inapplicable: graph is {cls.value}"
-        if not connected:
-            notes[key] = "inapplicable: graph is disconnected"
-        elif s.n < 7:
-            notes[key] = f"inapplicable: n={s.n} < 7"
-        elif key == "sub_high":
-            sub_high = subregular_bounds(s, cls)
-        else:
-            sub_low = subregular_bounds(s, cls)
-    else:
-        notes["sub_high"] = f"inapplicable: graph is {cls.value}"
-        notes["sub_low"] = f"inapplicable: graph is {cls.value}"
-
-    if not connected:
-        ylt = None
-        notes["ylt_lb"] = "inapplicable: graph is disconnected"
-        hsf = None
-        notes["hsf_ub"] = "inapplicable: graph is disconnected"
-    else:
-        hsf = hong_shu_fang_upper(s)
-        if s.m == 0:
-            ylt = None
-            notes["ylt_lb"] = "inapplicable: graph has no edges"
-        else:
-            ylt = _yu_lu_tian(s)
-
+    notes = _applicability(s, cls, connected)
     var_lb, var_ub = map(float, variance_sandwich(s))
     return BoundReport(
         graph=g,
@@ -359,25 +344,23 @@ def build_context(g: Graph, tol: float = DEFAULT_TOL) -> BoundReport:
         connected=connected,
         rho=summary.rho,
         q1=summary.q1,
-        epsilon=summary.rho - float(s.avg_degree),
+        epsilon=summary.rho - 2 * s.m / s.n,
         nikiforov=nikiforov_bound(s),
         main=main_bound(s),
         cg_degree=cg_degree_bound(s),
-        cgs=cgs,
-        sub_high=sub_high,
-        sub_low=sub_low,
+        # A gated field's only possible note marks it inapplicable.
+        cgs=None if "cgs" in notes else cgs_bound(s),
+        sub_high=None if "sub_high" in notes else subregular_bounds(s, cls),
+        sub_low=None if "sub_low" in notes else subregular_bounds(s, cls),
         hofmeister_lb=hofmeister_lower(s),
-        ylt_lb=ylt,
-        hsf_ub=hsf,
+        ylt_lb=None if "ylt_lb" in notes else _yu_lu_tian(s),
+        hsf_ub=None if "hsf_ub" in notes else hong_shu_fang_upper(s),
         var_lb=var_lb,
         var_ub=var_ub,
         applicability=notes,
     )
 
 
-def bound_report(g: Graph, tol: float = DEFAULT_TOL) -> BoundReport:
-    """Evaluate every applicable bound on one graph (same as build_context).
-
-    A def of its own, not an alias, so a tracer can wrap each name apart.
-    """
-    return build_context(g, tol)
+# The same call under its public name; a tracer wrapping either name by
+# identity sees one function.
+bound_report = build_context

@@ -16,7 +16,6 @@ import sys
 from contextlib import contextmanager
 from dataclasses import asdict
 from functools import partial
-from multiprocessing import Pool
 from typing import Iterable, Iterator, Sequence
 
 from .graphs import (
@@ -35,6 +34,7 @@ from .graphs import (
 from .spectral import DEFAULT_TOL, SpectralConvergenceError, check_tolerance
 from .bounds import build_context
 from .harness import (
+    CHECK_GROUPS,
     DEFAULT_CHECK_TOL,
     Claim,
     SearchRecord,
@@ -205,10 +205,14 @@ def cmd_verify(args) -> int:
         for checked, g in enumerate(graphs, 1):
             yield g
 
-    if args.jobs > 1:
+    # More workers than CPUs would only contend; output is the same either way.
+    jobs = min(args.jobs, os.cpu_count() or 1)
+    if jobs > 1:
+        from multiprocessing import Pool  # only here: other commands never load it
+
         # Workers are fed from the same stream, 64 graphs per message.
         check = partial(verify_graphs, tol=args.tol, checks=checks)
-        with Pool(args.jobs) as pool:
+        with Pool(jobs) as pool:
             results = pool.imap(check, ([g] for g in corpus()), chunksize=64)
             violations = [v for part in results for v in part]
     else:
@@ -334,10 +338,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=_tolerance, default=DEFAULT_CHECK_TOL,
                    help="slack of floating-point claims (finite, > 0)")
     p.add_argument("--only", help="comma-separated check or group names "
-                                  "(groups: core, bounds, subregular, oracle)")
+                                  f"(groups: {', '.join(CHECK_GROUPS)})")
     p.add_argument("--violations-file", default="violations.csv",
                    help="always written, possibly empty (default violations.csv)")
-    p.add_argument("--jobs", type=_job_count, default=1)
+    p.add_argument("--jobs", type=_job_count, default=1,
+                   help="worker processes, at most the CPU count (default 1)")
     p.add_argument("--self-test", action="store_true",
                    help="inject a deliberately corrupted check; a healthy "
                         "pipeline must then exit 1 with violations")

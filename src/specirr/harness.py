@@ -213,42 +213,45 @@ def _check_oracle_agreement(ctx: BoundReport, tol: float):
     return [Claim("oracle-agreement", abs(ctx.rho - oracle), 0.0, tol)]
 
 
-CHECK_GROUPS: dict[str, tuple[str, ...]] = {
-    "core": ("cs-lower", "cs-equality", "epsilon-sign", "variance-sandwich",
-             "rho-max-degree"),
-    "bounds": ("nikiforov", "main", "dominance", "cg-degree", "cgs",
-               "hofmeister", "yu-lu-tian", "hong-shu-fang", "liu-liu"),
-    "subregular": ("subregular-bounds", "subregular-chain",
-                   "subregular-delta-cap", "low-subregular-rho-cap"),
-    "oracle": ("oracle-agreement",),
+CHECK_GROUPS: dict[str, dict[str, CheckFn]] = {
+    "core": {
+        "cs-lower": _check_cs_lower,
+        "cs-equality": _check_cs_equality,
+        "epsilon-sign": _check_epsilon_sign,
+        "variance-sandwich": _check_variance_sandwich,
+        "rho-max-degree": _check_rho_max_degree,
+    },
+    "bounds": {
+        "nikiforov": _check_nikiforov,
+        "main": _check_main,
+        "dominance": _check_dominance,
+        "cg-degree": _check_cg_degree,
+        "cgs": _check_cgs,
+        "hofmeister": _check_hofmeister,
+        "yu-lu-tian": _check_yu_lu_tian,
+        "hong-shu-fang": _check_hong_shu_fang,
+        "liu-liu": _check_liu_liu,
+    },
+    "subregular": {
+        "subregular-bounds": _check_subregular_bounds,
+        "subregular-chain": _check_subregular_chain,
+        "subregular-delta-cap": _check_subregular_delta_cap,
+        "low-subregular-rho-cap": _check_low_subregular_rho_cap,
+    },
+    # The oracle cross-check is opt-in: it is a consistency check on the
+    # spectral computation, not one of the corpus inequalities.
+    "oracle": {
+        "oracle-agreement": _check_oracle_agreement,
+    },
 }
 
+# Checks are looked up here, never in CHECK_GROUPS, so that rebinding an
+# entry of ALL_CHECKS changes which function every selection runs.
 ALL_CHECKS: dict[str, CheckFn] = {
-    "cs-lower": _check_cs_lower,
-    "cs-equality": _check_cs_equality,
-    "epsilon-sign": _check_epsilon_sign,
-    "variance-sandwich": _check_variance_sandwich,
-    "rho-max-degree": _check_rho_max_degree,
-    "nikiforov": _check_nikiforov,
-    "main": _check_main,
-    "dominance": _check_dominance,
-    "cg-degree": _check_cg_degree,
-    "cgs": _check_cgs,
-    "hofmeister": _check_hofmeister,
-    "yu-lu-tian": _check_yu_lu_tian,
-    "hong-shu-fang": _check_hong_shu_fang,
-    "liu-liu": _check_liu_liu,
-    "subregular-bounds": _check_subregular_bounds,
-    "subregular-chain": _check_subregular_chain,
-    "subregular-delta-cap": _check_subregular_delta_cap,
-    "low-subregular-rho-cap": _check_low_subregular_rho_cap,
-    "oracle-agreement": _check_oracle_agreement,
+    name: fn for group in CHECK_GROUPS.values() for name, fn in group.items()
 }
-
-# The oracle cross-check is opt-in: it is a consistency check on the
-# spectral computation, not one of the corpus inequalities.
 DEFAULT_CHECKS: tuple[str, ...] = tuple(
-    name for name in ALL_CHECKS if name != "oracle-agreement"
+    name for group, checks in CHECK_GROUPS.items() if group != "oracle" for name in checks
 )
 
 

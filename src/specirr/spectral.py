@@ -21,7 +21,7 @@ cross-validates it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -74,8 +74,9 @@ def _adjacency_matrix(g: Graph) -> np.ndarray:
     return np.unpackbits(rows, axis=1, count=g.n, bitorder="little").astype(float)
 
 
-def _radius(adj: np.ndarray, tol: float) -> SpectralResult:
-    """Top eigenpair of the adjacency matrix, checked by its residual.
+def _radius(adj: np.ndarray, tol: float, with_q1: bool) -> SpectralResult:
+    """Top eigenpair of the adjacency matrix, checked by its residual, and
+    the signless-Laplacian radius when with_q1 is set.
 
     For a symmetric matrix the residual ||Ax - rho x|| of a unit vector x
     bounds the distance from rho to the nearest eigenvalue.
@@ -89,7 +90,8 @@ def _radius(adj: np.ndarray, tol: float) -> SpectralResult:
             f"spectral residual {residual:.3e} above tolerance {tol:.3e} "
             f"(relative to rho = {rho:.6g})"
         )
-    return SpectralResult(rho=rho, q1=None, iterations=1, residual=residual)
+    q1 = _signless_radius(adj) if with_q1 else None
+    return SpectralResult(rho=rho, q1=q1, iterations=1, residual=residual)
 
 
 def _signless_radius(adj: np.ndarray) -> float:
@@ -98,7 +100,7 @@ def _signless_radius(adj: np.ndarray) -> float:
 
 def adjacency_spectral_radius(g: Graph, tol: float = DEFAULT_TOL) -> SpectralResult:
     """Adjacency spectral radius, with residual at most tol * max(1, rho)."""
-    return _radius(_adjacency_matrix(g), tol)
+    return _radius(_adjacency_matrix(g), tol, with_q1=False)
 
 
 def signless_laplacian_radius(g: Graph, tol: float = DEFAULT_TOL) -> float:
@@ -113,8 +115,7 @@ def signless_laplacian_radius(g: Graph, tol: float = DEFAULT_TOL) -> float:
 
 def spectral_summary(g: Graph, tol: float = DEFAULT_TOL) -> SpectralResult:
     """Adjacency radius and signless-Laplacian radius from one matrix."""
-    adj = _adjacency_matrix(g)
-    return replace(_radius(adj, tol), q1=_signless_radius(adj))
+    return _radius(_adjacency_matrix(g), tol, with_q1=True)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Bound formulas: frozen arithmetic values, tightness cases, and gating."""
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -10,13 +11,16 @@ from specirr import (
     bound_report,
     cg_degree_bound,
     cgs_bound,
+    classify,
     complete,
     cycle,
     degree_stats,
+    enumerate_graphs,
     epsilon,
     from_edges,
     hofmeister_lower,
     hong_shu_fang_upper,
+    is_connected,
     l_high,
     l_low,
     liu_liu_check,
@@ -368,3 +372,37 @@ def test_report_edgeless_degenerate():
     rep = bound_report(from_edges(3, []))
     assert rep.nikiforov == 0.0 and rep.main == 0.0
     assert "no edges" in rep.applicability["nikiforov"]
+
+
+def _documented_gates(n, m, cls, connected):
+    """Each gated bound's documented condition, written out independently."""
+    return {
+        "cgs": connected and cls is not RegularityClass.REGULAR and n >= 4,
+        "sub_high": connected and cls is RegularityClass.HIGH_SUBREGULAR and n >= 7,
+        "sub_low": connected and cls is RegularityClass.LOW_SUBREGULAR and n >= 7,
+        "ylt_lb": connected and m >= 1,
+        "hsf_ub": connected,
+    }
+
+
+def test_gates_on_every_class():
+    # Every class with n <= 7, disconnected ones included, and edgeless
+    # graphs past the enumeration range.
+    graphs = [g for n in range(1, 8) for g in enumerate_graphs(n, connected_only=False)]
+    graphs += [from_edges(n, []) for n in range(8, 13)]
+    applied = Counter()
+    for g in graphs:
+        rep = bound_report(g)
+        gates = _documented_gates(g.n, g.m, classify(g), is_connected(g))
+        for key, holds in gates.items():
+            value, note = getattr(rep, key), rep.applicability.get(key, "")
+            assert (value is not None) == holds, (key, g)
+            assert (value is None) == note.startswith("inapplicable:"), (key, g)
+            applied[key] += holds
+        degenerate = {key for key, note in rep.applicability.items()
+                      if note.startswith("degenerate:")}
+        assert degenerate == ({"nikiforov", "main", "cg_degree"} if g.m == 0 else set()), g
+        assert all(getattr(rep, key) == 0.0 for key in degenerate)
+        assert set(rep.applicability) <= set(gates) | degenerate, g
+    # Each gate both holds and fails somewhere in the sweep.
+    assert all(0 < applied[key] < len(graphs) for key in gates), applied

@@ -229,6 +229,38 @@ def test_verify_jobs_deterministic(tmp_path, capsys):
     assert files[0].read_bytes() == files[1].read_bytes() == files[2].read_bytes()
 
 
+@pytest.mark.parametrize("cpus, started", [(3, [3]), (1, []), (None, [])])
+def test_verify_jobs_capped_at_cpu_count(cpus, started, tmp_path, monkeypatch, capsys):
+    # A stand-in Pool records how many workers it was asked for and maps in
+    # this process, so even --jobs 100000 starts no process.
+    import multiprocessing
+
+    requested = []
+
+    class RecordingPool:
+        def __init__(self, processes):
+            requested.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    files = [tmp_path / "serial.csv", tmp_path / "many.csv"]
+    for jobs, vfile in zip(("1", "100000"), files):
+        code, _, err = run_cli(["verify", "--n-max", "5", "--self-test", "--jobs", jobs,
+                                "--violations-file", str(vfile)], capsys)
+        assert (code, err) == (1, "checked 31 graphs, 31 violations\n")
+    assert requested == started
+    assert files[0].read_bytes() == files[1].read_bytes()
+
+
 @pytest.mark.parametrize("command", [
     ["compute", "--inline", WITNESS_G6],
     ["verify", "--n-max", "5", "--self-test"],
@@ -410,6 +442,20 @@ def test_cli_byte_determinism_subprocess():
     second = subprocess.run(cmd, capture_output=True, check=True, cwd=root)
     assert first.stdout == second.stdout
     assert json.loads(first.stdout)[0]["graph6"] == WITNESS_G6
+
+
+def test_compute_loads_neither_multiprocessing_nor_hashlib():
+    # compute forks no worker and reads no stored classes, so it must not
+    # pay for importing multiprocessing, or hashlib and the OpenSSL it loads.
+    probe = ("import sys\n"
+             "from specirr.cli import main\n"
+             f"assert main(['compute', '--inline', {WITNESS_G6!r}]) == 0\n"
+             "loaded = {'multiprocessing', 'hashlib', '_hashlib'} & set(sys.modules)\n"
+             "print(sorted(loaded), file=sys.stderr)\n")
+    root = Path(specirr.__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-c", probe], cwd=root, capture_output=True,
+                          check=True, timeout=120)
+    assert done.stderr == b"[]\n"
 
 
 def test_reader_closing_the_pipe_is_not_an_error(tmp_path):

@@ -27,8 +27,11 @@ from specirr.graphs import (
     path,
     subdivided_prism,
 )
+from specirr.cli import main
 from specirr.harness import (
     ALL_CHECKS,
+    CHECK_GROUPS,
+    DEFAULT_CHECKS,
     TIE_TOL,
     Claim,
     build_context,
@@ -144,7 +147,17 @@ def test_exact_claims_fire_at_any_tolerance(claim, tol):
     assert fired[0].tolerance == 0.0 and fired[0].margin > 0
 
 
-def test_select_checks_groups_and_names():
+def test_select_checks_groups_and_names(capsys):
+    grouped = [(name, fn) for checks in CHECK_GROUPS.values() for name, fn in checks.items()]
+    names = [name for name, _ in grouped]
+    assert len(names) == len(set(names))  # each check is in exactly one group
+    assert list(ALL_CHECKS.items()) == grouped  # in group order
+    assert DEFAULT_CHECKS == tuple(name for name in names
+                                   if name not in CHECK_GROUPS["oracle"])
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert f"(groups: {', '.join(CHECK_GROUPS)})" in help_text
     sub = select_checks(["subregular"])
     assert set(sub) == {"subregular-bounds", "subregular-chain",
                         "subregular-delta-cap", "low-subregular-rho-cap"}
