@@ -37,12 +37,14 @@ from .spectral import (
     adjacency_spectral_radius,
     signless_laplacian_radius,
     spectral_oracle,
+    spectral_runs,
     spectral_summary,
 )
 from .bounds import (
     BoundReport,
     LiuLiuCheck,
     bound_report,
+    build_contexts,
     cg_degree_bound,
     cgs_bound,
     epsilon,

@@ -7,9 +7,11 @@ no cancellation in var = (1/n) sum d^2 - (2m/n)^2.  A value that is a
 quotient of two integers is the integer division a / b, which Python
 rounds correctly, so it equals float(Fraction(a, b)).
 
-build_context evaluates a graph once (degree statistics, class,
-connectivity, both spectral radii) and returns one BoundReport holding
-those values, the irregularity and every bound.  One rule,
+build_contexts evaluates each graph once (degree statistics, class,
+connectivity, both spectral radii) and yields one BoundReport per graph
+holding those values, the irregularity and every bound.  It takes the
+radii from one stacked eigensolve per run of consecutive same-n graphs
+(see spectral); build_context is its one-graph case.  One rule,
 _applicability, decides from the statistics, class and connectivity which
 bounds apply (connectivity, regularity, vertex-count floors) and why the
 rest do not; a field is None exactly when that rule marks it
@@ -22,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Iterable, Iterator
 
 from .graphs import (
     DegreeStats,
@@ -31,7 +34,7 @@ from .graphs import (
     degree_stats,
     is_connected,
 )
-from .spectral import DEFAULT_TOL, adjacency_spectral_radius, spectral_summary
+from .spectral import DEFAULT_TOL, SpectralResult, adjacency_spectral_radius, spectral_runs
 
 
 # ---------------------------------------------------------------------------
@@ -328,13 +331,10 @@ def _applicability(s: DegreeStats, cls: RegularityClass, connected: bool) -> dic
     return notes
 
 
-def build_context(g: Graph, tol: float = DEFAULT_TOL) -> BoundReport:
-    """Evaluate g once: degree statistics, class, connectivity, both
-    spectral radii, and every applicable bound built from those values."""
+def _report(g: Graph, summary: SpectralResult) -> BoundReport:
     s = degree_stats(g)
     cls = classify(g)
     connected = is_connected(g)
-    summary = spectral_summary(g, tol)
     notes = _applicability(s, cls, connected)
     var_lb, var_ub = map(float, variance_sandwich(s))
     return BoundReport(
@@ -359,6 +359,20 @@ def build_context(g: Graph, tol: float = DEFAULT_TOL) -> BoundReport:
         var_ub=var_ub,
         applicability=notes,
     )
+
+
+def build_contexts(graphs: Iterable[Graph], tol: float = DEFAULT_TOL) -> Iterator[BoundReport]:
+    """Evaluate each graph once, in input order: degree statistics, class,
+    connectivity, both spectral radii (spectral_runs: one stacked
+    eigensolve per run of consecutive same-n graphs), and every applicable
+    bound built from those values."""
+    return (_report(g, summary) for g, summary in spectral_runs(graphs, tol, with_q1=True))
+
+
+def build_context(g: Graph, tol: float = DEFAULT_TOL) -> BoundReport:
+    """build_contexts for the one graph g."""
+    [report] = build_contexts([g], tol)
+    return report
 
 
 # The same call under its public name; a tracer wrapping either name by

@@ -1,28 +1,40 @@
 """Spectral radius computation for small graphs.
 
-Two independent routes are provided.  The production path is one dense
+Two independent routes are provided.  The production path is a dense
 symmetric eigensolve (LAPACK via numpy) of the adjacency matrix: its top
 eigenpair gives rho, accepted only when the eigenvector residual
 ||Ax - rho x|| is within the requested tolerance, and the top eigenvalue of
 A + D gives the signless-Laplacian radius.  A disconnected graph needs no
 special handling, since the spectrum of its block-diagonal matrix is the
-union of the components' spectra.  The oracle path certifies rho exactly:
-by Sylvester's law of inertia, the number of eigenvalues of A above a
-rational x = p/q is the number of sign changes in the leading principal
-minors of the integer matrix pI - qA, which Bareiss fraction-free
-elimination computes in integer arithmetic.  Counting on the grid
-x(j) = (2j + 1) / 2^41, which contains no integer (so, the eigenvalues of
-every leading submatrix being algebraic integers, no minor vanishes),
-brackets rho in an interval of width 2^-40; its midpoint is within 2^-41
-of the true radius.  The eigensolve only seeds that search, so the oracle
-cross-validates it.
+union of the components' spectra.
+
+Graphs are evaluated in runs.  A run is a maximal stretch of consecutive
+input graphs with the same vertex count, cut at CHUNK graphs; a single
+graph is a run of one.  Each run gets one np.linalg.eigh on its (B, n, n)
+adjacency stack, one vectorised residual gate over every row (a failure
+raises for the first failing graph in input order), and, only when q1 is
+wanted, one eigvalsh on the stack of A + D.  LAPACK solves each matrix of
+a stack as it would solve it alone, so no value depends on how the input
+was cut into runs.  CHUNK bounds a run's arrays: a verify or search feeds
+runs of up to CHUNK graphs in enumeration order, while a stream whose n
+changes at almost every graph gets runs of one.
+
+The oracle path certifies rho exactly: by Sylvester's law of inertia, the
+number of eigenvalues of A above a rational x = p/q is the number of sign
+changes in the leading principal minors of the integer matrix pI - qA,
+which Bareiss fraction-free elimination computes in integer arithmetic.
+Counting on the grid x(j) = (2j + 1) / 2^41, which contains no integer
+(so, the eigenvalues of every leading submatrix being algebraic integers,
+no minor vanishes), brackets rho in an interval of width 2^-40; its
+midpoint is within 2^-41 of the true radius.  The eigensolve only seeds
+that search, so the oracle cross-validates it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -30,6 +42,7 @@ from .graphs import Graph
 
 DEFAULT_TOL = 1e-12
 ORACLE_MAX_N = 12
+CHUNK = 64  # the most graphs one stacked eigensolve takes
 
 
 class SpectralConvergenceError(RuntimeError):
@@ -66,56 +79,96 @@ def check_tolerance(tol: float) -> float:
     return tol
 
 
+def split_runs(graphs: Iterable[Graph]) -> Iterator[list[Graph]]:
+    """Maximal stretches of consecutive graphs with the same n, cut at CHUNK graphs."""
+    run: list[Graph] = []
+    for g in graphs:
+        if run and (g.n != run[0].n or len(run) == CHUNK):
+            yield run
+            run = []
+        run.append(g)
+    if run:
+        yield run
+
+
+def _adjacency_stack(run: Sequence[Graph]) -> np.ndarray:
+    """(len(run), n, n) dense 0/1 adjacency matrices of graphs sharing n;
+    row v of a graph's matrix unpacks the bits of its neighbor_masks[v]."""
+    n = run[0].n
+    width = (n + 7) // 8
+    packed = b"".join(mask.to_bytes(width, "little") for g in run for mask in g.neighbor_masks)
+    rows = np.frombuffer(packed, dtype=np.uint8).reshape(len(run), n, width)
+    return np.unpackbits(rows, axis=2, count=n, bitorder="little").astype(float)
+
+
 def _adjacency_matrix(g: Graph) -> np.ndarray:
-    """Dense 0/1 adjacency matrix; row v unpacks the bits of neighbor_masks[v]."""
-    width = (g.n + 7) // 8
-    packed = b"".join(mask.to_bytes(width, "little") for mask in g.neighbor_masks)
-    rows = np.frombuffer(packed, dtype=np.uint8).reshape(g.n, width)
-    return np.unpackbits(rows, axis=1, count=g.n, bitorder="little").astype(float)
+    return _adjacency_stack([g])[0]
 
 
-def _radius(adj: np.ndarray, tol: float, with_q1: bool) -> SpectralResult:
-    """Top eigenpair of the adjacency matrix, checked by its residual, and
-    the signless-Laplacian radius when with_q1 is set.
+def _solve_run(run: Sequence[Graph], tol: float, with_q1: bool) -> list[SpectralResult]:
+    """Top eigenpair of each adjacency matrix of a run, checked by its
+    residual, and the signless-Laplacian radius when with_q1 is set.
 
     For a symmetric matrix the residual ||Ax - rho x|| of a unit vector x
     bounds the distance from rho to the nearest eigenvalue.
     """
-    check_tolerance(tol)
+    adj = _adjacency_stack(run)
     values, vectors = np.linalg.eigh(adj)
-    rho, x = float(values[-1]), vectors[:, -1]
-    residual = float(np.linalg.norm(adj @ x - rho * x))
-    if residual > tol * max(1.0, rho):
+    rho, x = values[:, -1], vectors[:, :, -1:]
+    d = adj @ x - rho[:, None, None] * x
+    # sqrt(d^T d) through BLAS, as np.linalg.norm takes one vector's norm.
+    residual = np.sqrt(np.swapaxes(d, 1, 2) @ d)[:, 0, 0]
+    failed = np.flatnonzero(residual > tol * np.maximum(1.0, rho))
+    if failed.size:
+        i = failed[0]
         raise SpectralConvergenceError(
-            f"spectral residual {residual:.3e} above tolerance {tol:.3e} "
-            f"(relative to rho = {rho:.6g})"
+            f"spectral residual {residual[i]:.3e} above tolerance {tol:.3e} "
+            f"(relative to rho = {rho[i]:.6g})"
         )
-    q1 = _signless_radius(adj) if with_q1 else None
-    return SpectralResult(rho=rho, q1=q1, iterations=1, residual=residual)
+    q1 = [None] * len(run)
+    if with_q1:
+        diagonal = np.arange(run[0].n)
+        adj[:, diagonal, diagonal] = adj.sum(axis=2)  # A + D
+        q1 = np.linalg.eigvalsh(adj)[:, -1].tolist()
+    return [SpectralResult(rho=r, q1=q, iterations=1, residual=e)
+            for r, q, e in zip(rho.tolist(), q1, residual.tolist())]
 
 
-def _signless_radius(adj: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(adj + np.diag(adj.sum(axis=1)))[-1])
+def spectral_runs(
+    graphs: Iterable[Graph], tol: float = DEFAULT_TOL, with_q1: bool = False
+) -> Iterator[tuple[Graph, SpectralResult]]:
+    """(graph, SpectralResult) pairs in input order, one stacked eigensolve
+    per run (split_runs); each residual is at most tol * max(1, rho).
+
+    tol is checked on the call; a run is solved when its first pair is
+    asked for.  q1 is computed only with with_q1, and is None otherwise.
+    """
+    check_tolerance(tol)
+    return (pair for run in split_runs(graphs) for pair in zip(run, _solve_run(run, tol, with_q1)))
+
+
+def _solve_one(g: Graph, tol: float, with_q1: bool) -> SpectralResult:
+    [(_, result)] = spectral_runs([g], tol, with_q1)
+    return result
 
 
 def adjacency_spectral_radius(g: Graph, tol: float = DEFAULT_TOL) -> SpectralResult:
     """Adjacency spectral radius, with residual at most tol * max(1, rho)."""
-    return _radius(_adjacency_matrix(g), tol, with_q1=False)
+    return _solve_one(g, tol, with_q1=False)
 
 
 def signless_laplacian_radius(g: Graph, tol: float = DEFAULT_TOL) -> float:
     """Spectral radius of the signless Laplacian A + D.
 
-    tol is validated like adjacency_spectral_radius's; the eigenvalue
-    itself needs no stopping test.
+    It comes from the same evaluation as spectral_summary's, so tol bounds
+    the adjacency residual exactly as there.
     """
-    check_tolerance(tol)
-    return _signless_radius(_adjacency_matrix(g))
+    return _solve_one(g, tol, with_q1=True).q1
 
 
 def spectral_summary(g: Graph, tol: float = DEFAULT_TOL) -> SpectralResult:
     """Adjacency radius and signless-Laplacian radius from one matrix."""
-    return _radius(_adjacency_matrix(g), tol, with_q1=True)
+    return _solve_one(g, tol, with_q1=True)
 
 
 # ---------------------------------------------------------------------------
@@ -204,5 +257,5 @@ def spectral_oracle(g: Graph, estimate: float | None = None) -> float:
     if g.n > ORACLE_MAX_N:
         raise ValueError(f"oracle capped at n <= {ORACLE_MAX_N}, got {g.n}")
     if estimate is None:
-        estimate = float(np.linalg.eigvalsh(_adjacency_matrix(g))[-1])
+        estimate = adjacency_spectral_radius(g).rho
     return _bracket_radius(g.neighbor_masks, g.n, estimate)

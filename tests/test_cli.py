@@ -236,6 +236,7 @@ def test_verify_jobs_capped_at_cpu_count(cpus, started, tmp_path, monkeypatch, c
     import multiprocessing
 
     requested = []
+    chunksizes, messages = [], []
 
     class RecordingPool:
         def __init__(self, processes):
@@ -248,7 +249,9 @@ def test_verify_jobs_capped_at_cpu_count(cpus, started, tmp_path, monkeypatch, c
             return False
 
         def imap(self, fn, iterable, chunksize=1):
-            return map(fn, iterable)
+            chunksizes.append(chunksize)
+            messages.extend(iterable)
+            return map(fn, messages)
 
     monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
@@ -259,6 +262,11 @@ def test_verify_jobs_capped_at_cpu_count(cpus, started, tmp_path, monkeypatch, c
         assert (code, err) == (1, "checked 31 graphs, 31 violations\n")
     assert requested == started
     assert files[0].read_bytes() == files[1].read_bytes()
+    if started:
+        # One message per run: all the connected classes with one n, n <= 5.
+        assert chunksizes == [1]
+        assert [[g.n for g in batch] for batch in messages] == [
+            [n] * count for n, count in enumerate([1, 1, 2, 6, 21], 1)]
 
 
 @pytest.mark.parametrize("command", [
@@ -423,6 +431,19 @@ def test_non_convergence_exit_code(capsys):
     assert code == 3
     assert out == ""
     assert "spectral residual" in err and "above tolerance" in err
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_non_convergence_before_a_malformed_line(strict, capsys):
+    # The malformed line ends the pending run, which is evaluated first: its
+    # residual failure is the only message, in both modes, as if each graph
+    # were evaluated the moment it was read.
+    args = ["compute", "--inline", WITNESS_G6, "--inline", "!!!bad!!!", "--tol", "1e-300"]
+    code, out, err = run_cli(args + ["--strict"] * strict, capsys)
+    assert code == 3
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: spectral residual ")
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ inertia-count oracle."""
 
 import math
 import random
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -25,8 +26,15 @@ from specirr import (
     star,
     subdivided_prism,
 )
+from specirr.bounds import build_contexts
 from specirr.harness import build_context, verify_graphs
-from specirr.spectral import _adjacency_matrix, _bracket_radius, _count_above
+from specirr.spectral import (
+    CHUNK,
+    _adjacency_matrix,
+    _bracket_radius,
+    _count_above,
+    spectral_runs,
+)
 
 # Frozen golden constants for the high subregular witness (subdivided
 # 3-prism), computed with the characteristic-polynomial oracle.
@@ -110,16 +118,73 @@ def test_residual_above_tolerance_raises():
         adjacency_spectral_radius(path(4), tol=1e-300)
 
 
+def _bits(report):
+    # Every field, each float as its exact bits (so -0.0 differs from 0.0).
+    return [
+        (f.name, value.hex() if isinstance(value, float) else value)
+        for f in fields(report)
+        for value in [getattr(report, f.name)]
+    ]
+
+
 def test_one_evaluation_matches_the_separate_calls():
     # spectral_summary and build_context evaluate each graph once; their
-    # values must be bit-for-bit those of the single-purpose functions.
-    graphs = [g for n in range(1, 7) for g in enumerate_graphs(n)]
+    # values must be bit-for-bit those of the single-purpose functions.  A
+    # graph's report must not depend on the run it was solved in: in
+    # enumeration order most runs hold CHUNK graphs, shuffled they split at
+    # almost every change of n.
+    graphs = [g for n in range(1, 8) for g in enumerate_graphs(n)]
     graphs.append(from_edges(7, [(0, 1), (2, 3), (3, 4), (4, 2)]))  # K2 + K3 + 2 isolated
     for g in graphs:
         summary = spectral_summary(g)
         assert summary.rho == adjacency_spectral_radius(g).rho
         assert summary.q1 == signless_laplacian_radius(g)
         assert bound_report(g).epsilon == build_context(g).epsilon
+    shuffled = graphs[:]
+    random.Random(15).shuffle(shuffled)
+    for order in (graphs, shuffled):
+        batched = [_bits(report) for report in build_contexts(order)]
+        assert batched == [_bits(build_context(g)) for g in order]
+
+
+def test_runs_split_at_each_change_of_n_and_at_chunk(monkeypatch):
+    graphs = list(enumerate_graphs(7))[:130] + list(enumerate_graphs(6))[:70]
+    shapes = {"eigh": [], "eigvalsh": []}  # the stack each call solves
+
+    def counted(name):
+        solve = getattr(np.linalg, name)
+
+        def call(a):
+            shapes[name].append(a.shape)
+            return solve(a)
+        return call
+
+    for name in shapes:
+        monkeypatch.setattr(np.linalg, name, counted(name))
+    assert len(list(spectral_runs(graphs))) == 200
+    runs = [(64, 7, 7), (64, 7, 7), (2, 7, 7), (64, 6, 6), (6, 6, 6)]
+    assert shapes == {"eigh": runs, "eigvalsh": []}  # q1 not asked for: no eigvalsh
+    shapes["eigh"].clear()
+    assert len(list(build_contexts(graphs))) == 200
+    assert shapes == {"eigh": runs, "eigvalsh": runs}
+
+
+@pytest.mark.parametrize("connected_only", [True, False])
+def test_residual_gate_of_a_run_names_its_first_failing_graph(connected_only):
+    # Connected, every graph fails a 1e-300 bound.  Among all classes the
+    # edgeless graph comes first and passes (its residual is exactly 0), as
+    # do some other disconnected ones.
+    run = list(enumerate_graphs(7, connected_only=connected_only))[:CHUNK]
+    failing = []
+    for g in run:
+        try:
+            adjacency_spectral_radius(g, tol=1e-300)
+        except SpectralConvergenceError as exc:
+            failing.append(str(exc))
+    assert (len(failing) == CHUNK) is connected_only
+    with pytest.raises(SpectralConvergenceError) as raised:
+        list(spectral_runs(run, tol=1e-300))
+    assert str(raised.value) == failing[0]
 
 
 def test_relabel_invariance():
