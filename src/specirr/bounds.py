@@ -47,8 +47,12 @@ def epsilon(g: Graph, tol: float = DEFAULT_TOL) -> float:
     The true value is nonnegative, and zero exactly for regular graphs;
     the float can land a few ulps below 0.
     """
-    rho = adjacency_spectral_radius(g, tol).rho
-    return rho - 2 * g.m / g.n
+    return _epsilon(adjacency_spectral_radius(g, tol).rho, g.m, g.n)
+
+
+def _epsilon(rho: float, m: int, n: int) -> float:
+    """epsilon's formula for a graph with radius rho, m edges and n vertices."""
+    return rho - 2 * m / n
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +348,7 @@ def _report(g: Graph, summary: SpectralResult) -> BoundReport:
         connected=connected,
         rho=summary.rho,
         q1=summary.q1,
-        epsilon=summary.rho - 2 * s.m / s.n,
+        epsilon=_epsilon(summary.rho, s.m, s.n),
         nikiforov=nikiforov_bound(s),
         main=main_bound(s),
         cg_degree=cg_degree_bound(s),

@@ -13,7 +13,6 @@ import csv
 import json
 import os
 import sys
-from collections import deque
 from contextlib import contextmanager
 from dataclasses import asdict
 from functools import partial
@@ -22,6 +21,7 @@ from typing import Iterable, Iterator, Sequence
 from .graphs import (
     GRAPH6_MAX_N,
     _GRAPH6_HEADER,
+    Graph,
     complete,
     cycle,
     parse_graph6,
@@ -32,7 +32,7 @@ from .graphs import (
     to_graph6,
 )
 from .spectral import DEFAULT_TOL, SpectralConvergenceError, check_tolerance, split_runs
-from .bounds import BoundReport, build_contexts
+from .bounds import build_context
 from .harness import (
     CHECK_GROUPS,
     DEFAULT_CHECK_TOL,
@@ -74,9 +74,9 @@ GENERATORS = {
 # Row assembly and emission
 # ---------------------------------------------------------------------------
 
-def report_row(ctx: BoundReport, graph6: str) -> dict:
-    """One row for ctx's graph, parsed from canonical graph6 text: integers,
-    decimals, every bound."""
+def report_row(g: Graph, graph6: str, tol: float = DEFAULT_TOL) -> dict:
+    """One row for g, parsed from canonical graph6 text: integers, decimals, every bound."""
+    ctx = build_context(g, tol)
     s = ctx.stats
     return {
         "graph6": graph6,
@@ -156,42 +156,20 @@ def _graph6_lines(source: str | None, inline: list[str]) -> Iterator[Iterable[st
 
 def cmd_compute(args) -> int:
     rows = []
-    texts: deque[str] = deque()  # graph6 of each parsed graph not yet reported
-    stop: list = []  # what ended the last stretch: a line's message or a read error
-
-    def parsed(numbered):
-        # The graphs up to the next malformed line or unreadable byte.  Either
-        # ends the pending run, which is evaluated before the stop is reported,
-        # so stderr and the exit code are those of a graph-by-graph pass.
-        try:
-            for lineno, text in numbered:
+    try:
+        with _graph6_lines(args.input, args.inline) as lines:
+            for lineno, text in enumerate(lines, 1):
                 graph6 = text.strip().removeprefix(_GRAPH6_HEADER)
                 if not graph6:
                     continue
                 try:
                     g = parse_graph6(text)
                 except ValueError as exc:
-                    stop.append(f"line {lineno}: {exc}")
-                    return
-                texts.append(graph6)
-                yield g
-        except ValueError as exc:  # a byte that is not ASCII
-            stop.append(exc)
-
-    try:
-        with _graph6_lines(args.input, args.inline) as lines:
-            numbered = enumerate(lines, 1)
-            while True:
-                rows.extend(report_row(ctx, texts.popleft())
-                            for ctx in build_contexts(parsed(numbered), args.tol))
-                if not stop:
-                    break
-                reason = stop.pop()
-                if isinstance(reason, ValueError):
-                    raise reason
-                print(reason, file=sys.stderr)
-                if args.strict:
-                    return EXIT_USAGE
+                    print(f"line {lineno}: {exc}", file=sys.stderr)
+                    if args.strict:
+                        return EXIT_USAGE
+                    continue
+                rows.append(report_row(g, graph6, args.tol))
     except ValueError as exc:  # no input, or a byte that is not ASCII
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -30,6 +30,7 @@ from .graphs import (
 from .spectral import check_tolerance, spectral_oracle, spectral_runs
 from .bounds import (
     BoundReport,
+    _epsilon,
     _liu_liu,
     build_context,  # re-exported as harness.build_context
     build_contexts,
@@ -354,7 +355,7 @@ def _search_cell(graphs: Iterable[Graph], objective: str) -> SearchRecord | None
     best: list[tuple[Graph, float]] = []
     sign = 1.0 if objective == "min" else -1.0
     for g, result in spectral_runs(graphs):
-        eps = result.rho - 2 * g.m / g.n  # epsilon(g)'s formula
+        eps = _epsilon(result.rho, g.m, g.n)
         delta = sign * (eps - best[0][1]) if best else -math.inf
         if delta < -TIE_TOL:
             best = [(g, eps)]

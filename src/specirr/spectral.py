@@ -15,9 +15,9 @@ adjacency stack, one vectorised residual gate over every row (a failure
 raises for the first failing graph in input order), and, only when q1 is
 wanted, one eigvalsh on the stack of A + D.  LAPACK solves each matrix of
 a stack as it would solve it alone, so no value depends on how the input
-was cut into runs.  CHUNK bounds a run's arrays: a verify or search feeds
-runs of up to CHUNK graphs in enumeration order, while a stream whose n
-changes at almost every graph gets runs of one.
+was cut into runs.  CHUNK bounds a run's arrays: verify and search feed
+their graphs in enumeration order, sorted by n, so almost every run holds
+CHUNK graphs; compute evaluates each graph alone, a run of one.
 
 The oracle path certifies rho exactly: by Sylvester's law of inertia, the
 number of eigenvalues of A above a rational x = p/q is the number of sign
@@ -257,5 +257,6 @@ def spectral_oracle(g: Graph, estimate: float | None = None) -> float:
     if g.n > ORACLE_MAX_N:
         raise ValueError(f"oracle capped at n <= {ORACLE_MAX_N}, got {g.n}")
     if estimate is None:
-        estimate = adjacency_spectral_radius(g).rho
+        # Ungated: a residual the eigensolve would reject still seeds the search.
+        estimate = float(np.linalg.eigvalsh(_adjacency_matrix(g))[-1])
     return _bracket_radius(g.neighbor_masks, g.n, estimate)

@@ -435,9 +435,8 @@ def test_non_convergence_exit_code(capsys):
 
 @pytest.mark.parametrize("strict", [False, True])
 def test_non_convergence_before_a_malformed_line(strict, capsys):
-    # The malformed line ends the pending run, which is evaluated first: its
-    # residual failure is the only message, in both modes, as if each graph
-    # were evaluated the moment it was read.
+    # The witness is evaluated the moment it is read, before the malformed
+    # line: its residual failure is the only message, in both modes.
     args = ["compute", "--inline", WITNESS_G6, "--inline", "!!!bad!!!", "--tol", "1e-300"]
     code, out, err = run_cli(args + ["--strict"] * strict, capsys)
     assert code == 3
