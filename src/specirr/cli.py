@@ -31,7 +31,7 @@ from .graphs import (
     subdivided_prism,
     to_graph6,
 )
-from .spectral import DEFAULT_TOL, SpectralConvergenceError, check_tolerance, split_runs
+from .spectral import DEFAULT_TOL, SpectralConvergenceError, check_tolerance
 from .bounds import build_context
 from .harness import (
     CHECK_GROUPS,
@@ -40,10 +40,10 @@ from .harness import (
     SearchRecord,
     bell_max_search,
     check_search_sizes,
-    enumerate_corpus,
+    corpus_runs,
     hong_search,
     select_checks,
-    verify_graphs,
+    verify_run,
 )
 
 EXIT_OK = 0
@@ -191,34 +191,30 @@ def _corrupted_check(ctx, tol):
 
 def cmd_verify(args) -> int:
     try:
-        graphs = enumerate_corpus(args.n_max, connected_only=not args.all_graphs)
+        runs = corpus_runs(args.n_max)
         checks = select_checks(None if args.only is None else args.only.split(","))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if args.self_test:
         checks["self-test-corrupted"] = _corrupted_check
-    checked = 0
-
-    def corpus():
-        nonlocal checked
-        for checked, g in enumerate(graphs, 1):
-            yield g
-
+    check = partial(verify_run, tol=args.tol, checks=checks,
+                    connected_only=not args.all_graphs)
     # More workers than CPUs would only contend; output is the same either way.
     jobs = min(args.jobs, os.cpu_count() or 1)
     if jobs > 1:
         from multiprocessing import Pool  # only here: other commands never load it
 
         # Workers are fed from the same stream, one run of up to CHUNK
-        # same-n graphs per message, which each evaluates as one batch.
-        check = partial(verify_graphs, tol=args.tol, checks=checks)
+        # same-n classes per message, which each evaluates as one batch.
         with Pool(jobs) as pool:
-            results = pool.imap(check, split_runs(corpus()), chunksize=1)
-            violations = [v for part in results for v in part]
+            results = list(pool.imap(check, runs, chunksize=1))
     else:
-        # Streamed, so each Graph is freed once it is checked.
-        violations = verify_graphs(corpus(), args.tol, checks)
+        results = map(check, runs)
+    checked, violations = 0, []
+    for count, part in results:
+        checked += count
+        violations += part
     violations.sort(key=lambda v: (v.graph6, v.check_name))
     rows = [{"check": v.check_name, **asdict(v)} for v in violations]
     _write_output(rows, VIOLATION_COLUMNS, args.format, args.precision, args.violations_file)

@@ -6,6 +6,9 @@ graph6 text I/O, degree statistics in exact rational arithmetic,
 near-regularity classification, the standard generator families, canonical
 forms under isomorphism, and exhaustive enumeration of isomorphism classes
 up to ENUMERATION_CAP vertices, kept on disk under pinned SHA-256 digests.
+For evaluation in bulk, a stored level is also decoded once into an array
+of upper-triangle bits (_class_bits), from which stacks of adjacency
+matrices are cut without building a Graph.
 """
 
 from __future__ import annotations
@@ -18,6 +21,8 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 # Permutation-search canonicalization is exponential in the worst case;
 # nine vertices keeps every corpus run at desk scale.
@@ -311,6 +316,23 @@ def connected_components(g: Graph) -> list[list[int]]:
 def is_connected(g: Graph) -> bool:
     """True iff the graph has exactly one connected component."""
     return len(connected_components(g)) == 1
+
+
+def _connected_rows(stack: np.ndarray) -> np.ndarray:
+    """is_connected of each matrix of a (B, n, n) 0/1 adjacency stack.
+
+    The 0/1 column of the vertices within distance k of vertex 0 grows
+    with k until it holds vertex 0's component; the graph is connected
+    when that is every vertex.
+    """
+    adjacency = stack.astype(float)
+    reach = np.zeros((len(stack), stack.shape[1], 1))
+    reach[:, 0] = 1.0
+    while True:
+        grown = np.minimum(reach + adjacency @ reach, 1.0)
+        if np.array_equal(grown, reach):
+            return reach.all(axis=(1, 2))
+        reach = grown
 
 
 # ---------------------------------------------------------------------------
@@ -742,6 +764,35 @@ def _augment_classes(n: int) -> tuple[str, ...]:
     return tuple(sorted(forms, key=lambda text: (_graph6_edge_count(text), text)))
 
 
+@functools.lru_cache(maxsize=None)
+def _class_bits(n: int) -> np.ndarray:
+    """The classes of _class_forms(n) as a (classes, n(n-1)/2) uint8 array:
+    row k holds the upper-triangle bits of class k in graph6 order, x(0,1),
+    x(0,2), x(1,2), x(0,3), ...  Each graph6 byte less 63 carries six of
+    them, most significant first."""
+    forms = _class_forms(n)
+    text = np.frombuffer("".join(forms).encode("ascii"), dtype=np.uint8)
+    body = text.reshape(len(forms), -1) - 63
+    bits = np.empty((len(forms), n * (n - 1) // 2), dtype=np.uint8)
+    for k in range(bits.shape[1]):
+        bits[:, k] = body[:, 1 + k // 6] >> (5 - k % 6) & 1
+    return bits
+
+
+def _bits_stack(n: int, bits: np.ndarray) -> np.ndarray:
+    """(len(bits), n, n) uint8 adjacency matrices of rows of _class_bits(n)."""
+    j, i = np.tril_indices(n, -1)  # graph6 order: by column j, then row i < j
+    stack = np.zeros((len(bits), n, n), dtype=np.uint8)
+    stack[:, i, j] = bits
+    stack[:, j, i] = bits
+    return stack
+
+
+def _check_edge_count(n: int, m: int) -> None:
+    if not 0 <= m <= n * (n - 1) // 2:
+        raise ValueError(f"edge count {m} out of range for n={n}")
+
+
 def enumerate_graphs(
     n: int,
     m: int | None = None,
@@ -757,8 +808,8 @@ def enumerate_graphs(
     """
     if not 1 <= n <= ENUMERATION_CAP:
         raise ValueError(f"enumeration capped at 1 <= n <= {ENUMERATION_CAP}, got {n}")
-    if m is not None and not 0 <= m <= n * (n - 1) // 2:
-        raise ValueError(f"edge count {m} out of range for n={n}")
+    if m is not None:
+        _check_edge_count(n, m)
     for text in _class_forms(n):
         if m is not None and _graph6_edge_count(text) != m:
             continue

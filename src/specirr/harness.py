@@ -1,12 +1,22 @@
 """Corpus-wide bound verification, extremal searches, and monotonicity grids.
 
-verify_corpus enumerates every isomorphism class up to a vertex cap and
-runs each registered inequality check on each graph; verify_graphs reports
-every Claim whose lhs - rhs exceeds its own slack as a ViolationReport, and
-a clean run returns an empty list.  The searches scan connected classes for
-the smallest (Hong's question) and the largest irregularity at fixed
-(n, m), recording outcomes without asserting them: the minimal-gap
+verify_corpus runs each registered inequality check on every isomorphism
+class up to a vertex cap, and verify_graphs on given graphs; both report
+every claim whose lhs - rhs exceeds its own slack as a ViolationReport,
+and a clean run returns an empty list.  The searches scan connected
+classes for the smallest (Hong's question) and the largest irregularity at
+fixed (n, m), recording outcomes without asserting them: the minimal-gap
 question is open and the harness gathers evidence.
+
+Both work a run at a time: up to CHUNK graphs with the same n, as one
+(B, n, n) adjacency stack.  The corpus path cuts its runs from the stored
+classes' bit rows (graphs._class_bits), so no Graph is built there.  A
+check maps a run's BoundColumns to a list of claim columns, and a
+ViolationReport, with the Graph, graph6 and canonical form it names, is
+built only for a row where a claim fails.  compute keeps the per-graph
+BoundReport (bounds.build_context): its input arrives one graph at a
+time, in runs of one, where array arithmetic costs more than the scalar
+formulas.
 """
 
 from __future__ import annotations
@@ -17,30 +27,42 @@ from fractions import Fraction
 from itertools import groupby
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
+import numpy as np
+
 from .graphs import (
     ENUMERATION_CAP,
     Graph,
-    RegularityClass,
+    _bits_stack,
+    _check_edge_count,
+    _class_bits,
+    _class_forms,
+    _connected_rows,
     canonical_form,
-    classify,
     enumerate_graphs,
     parse_graph6,
     to_graph6,
 )
-from .spectral import check_tolerance, spectral_oracle, spectral_runs
+from .spectral import (
+    DEFAULT_TOL,
+    _adjacency_stack,
+    _oracle_column,
+    _solve_stack,
+    check_tolerance,
+    split_rows,
+    split_runs,
+)
 from .bounds import (
-    BoundReport,
+    BoundColumns,
     _epsilon,
     _liu_liu,
+    bound_columns,
     build_context,  # re-exported as harness.build_context
-    build_contexts,
     epsilon,
     l_high_exact,
     l_low_exact,
     l_high_two_term_exact,
     l_low_two_term_exact,
     low_subregular_rho_upper,
-    variance_sandwich,
 )
 
 DEFAULT_CHECK_TOL = 1e-9
@@ -71,148 +93,156 @@ class ViolationReport:
 
 
 class Claim(NamedTuple):
-    """The inequality lhs <= rhs, violated exactly when lhs - rhs > slack.
+    """The inequality lhs <= rhs on each row of a run, violated on a row
+    exactly when lhs - rhs > slack there.
 
-    slack is the verify tolerance for floating-point sides, 0 for integer
-    or Fraction sides (compared exactly), and negative for a strict claim.
+    lhs and rhs are columns (or scalars, the same on every row).  slack is
+    the verify tolerance for floating-point sides, 0 for integer sides
+    (compared exactly), and negative for a strict claim.  A row a claim
+    does not apply to carries a NaN side, or equal integer sides.  Integer
+    sides may be scaled by the positive integers in scale, so that a
+    rational claim compares in integers; a report divides them back.
     """
 
     name: str
-    lhs: float | Fraction
-    rhs: float | Fraction
+    lhs: np.ndarray | float
+    rhs: np.ndarray | float
     slack: float
+    scale: np.ndarray | int = 1
 
 
-CheckFn = Callable[[BoundReport, float], list[Claim]]
+CheckFn = Callable[[BoundColumns, float], list[Claim]]
 
 
-def _check_cs_lower(ctx: BoundReport, tol: float):
-    return [Claim("cs-lower", ctx.stats.avg_degree_float, ctx.rho, tol)]
+def _where(rows: np.ndarray, side: np.ndarray) -> np.ndarray:
+    """side on the rows where rows holds, NaN (no claim fires) elsewhere."""
+    return np.where(rows, side, np.nan)
 
 
-def _check_cs_equality(ctx: BoundReport, tol: float):
-    avg = ctx.stats.avg_degree_float
-    if ctx.regularity is RegularityClass.REGULAR:
-        return [Claim("cs-equality", abs(ctx.rho - avg), 0.0, tol)]
-    # Non-regular graphs sit strictly above the average degree.
-    return [Claim("cs-equality", avg, ctx.rho, -tol)]
-
-
-def _check_epsilon_sign(ctx: BoundReport, tol: float):
-    return [Claim("epsilon-nonnegative", -ctx.epsilon, 0.0, tol)]
-
-
-def _check_variance_sandwich(ctx: BoundReport, tol: float):
-    lower, upper = variance_sandwich(ctx.stats)
-    return [
-        Claim("variance-sandwich-lower", lower, ctx.stats.variance, 0),
-        Claim("variance-sandwich-upper", ctx.stats.variance, upper, 0),
-    ]
-
-
-def _check_nikiforov(ctx: BoundReport, tol: float):
-    return [Claim("nikiforov", ctx.nikiforov, ctx.epsilon, tol)]
-
-
-def _check_main(ctx: BoundReport, tol: float):
-    return [Claim("main", ctx.main, ctx.epsilon, tol)]
-
-
-def _check_dominance(ctx: BoundReport, tol: float):
-    nikiforov, main = ctx.nikiforov, ctx.main
-    claims = [Claim("dominance", nikiforov, main, tol)]
-    if ctx.stats.variance > 0:
-        # Strictly better whenever the degrees are not all equal.
-        claims.append(Claim("dominance-strict", nikiforov, main, -TIE_TOL))
-    return claims
-
-
-def _check_cg_degree(ctx: BoundReport, tol: float):
-    return [Claim("cg-degree", ctx.cg_degree, ctx.epsilon, tol)]
-
-
-def _check_cgs(ctx: BoundReport, tol: float):
-    if ctx.cgs is None:
-        return []
-    return [Claim("cgs", ctx.cgs, ctx.epsilon, tol)]
-
-
-def _check_hofmeister(ctx: BoundReport, tol: float):
-    hof = ctx.hofmeister_lb
-    return [
-        Claim("hofmeister", hof, ctx.rho, tol),
-        Claim("hofmeister-chain", ctx.stats.avg_degree_float, hof, tol),
-    ]
-
-
-def _check_yu_lu_tian(ctx: BoundReport, tol: float):
-    ylt = ctx.ylt_lb
-    if ylt is None:
-        return []
-    return [
-        Claim("yu-lu-tian", ylt, ctx.rho, tol),
-        Claim("yu-lu-tian-chain", ctx.stats.avg_degree_float, ylt, tol),
-    ]
-
-
-def _check_hong_shu_fang(ctx: BoundReport, tol: float):
-    if ctx.hsf_ub is None:
-        return []
-    return [Claim("hong-shu-fang", ctx.rho, ctx.hsf_ub, tol)]
-
-
-def _check_liu_liu(ctx: BoundReport, tol: float):
-    s = ctx.stats
-    if s.m == 0:
-        return []
-    (sum_sq, m_q1), (_, two_m_dmax) = _liu_liu(s, ctx.q1)
-    return [
-        Claim("liu-liu-q1", sum_sq, m_q1, tol),
-        Claim("liu-liu-degree", sum_sq, two_m_dmax, 0),
-        Claim("q1-max-degree", ctx.q1, 2 * s.max_degree, tol),
-    ]
-
-
-def _check_rho_max_degree(ctx: BoundReport, tol: float):
-    return [Claim("rho-max-degree", ctx.rho, ctx.stats.max_degree, tol)]
-
-
-def _check_subregular_bounds(ctx: BoundReport, tol: float):
-    out = []
-    if ctx.sub_high is not None:
-        out.append(Claim("subregular-high", ctx.sub_high, ctx.epsilon, tol))
-    if ctx.sub_low is not None:
-        out.append(Claim("subregular-low", ctx.sub_low, ctx.epsilon, tol))
+def _on_rows(rows: np.ndarray, fn: Callable[..., float], *columns: np.ndarray) -> np.ndarray:
+    """fn of each selected row's column values, NaN elsewhere: a scalar
+    formula kept for a claim that applies to few rows."""
+    out = np.full(len(rows), np.nan)
+    picked = np.flatnonzero(rows)
+    out[picked] = [fn(*values) for values in zip(*(c[picked].tolist() for c in columns))]
     return out
 
 
-def _check_subregular_chain(ctx: BoundReport, tol: float):
+def _check_cs_lower(c: BoundColumns, tol: float):
+    return [Claim("cs-lower", c.avg_degree, c.rho, tol)]
+
+
+def _check_cs_equality(c: BoundColumns, tol: float):
+    return [
+        Claim("cs-equality", _where(c.regular, np.abs(c.rho - c.avg_degree)), 0.0, tol),
+        # Non-regular graphs sit strictly above the average degree.
+        Claim("cs-equality", _where(~c.regular, c.avg_degree), c.rho, -tol),
+    ]
+
+
+def _check_epsilon_sign(c: BoundColumns, tol: float):
+    return [Claim("epsilon-nonnegative", -c.epsilon, 0.0, tol)]
+
+
+def _check_variance_sandwich(c: BoundColumns, tol: float):
+    # gap^2 / (2n) <= var <= gap^2 / 4, each side times 4n^2.
+    n, gap = c.n, c.max_degree - c.min_degree
+    scaled_var = 4 * c.n2_variance
+    return [
+        Claim("variance-sandwich-lower", 2 * n * gap * gap, scaled_var, 0, 4 * n * n),
+        Claim("variance-sandwich-upper", scaled_var, n * n * gap * gap, 0, 4 * n * n),
+    ]
+
+
+def _check_nikiforov(c: BoundColumns, tol: float):
+    return [Claim("nikiforov", c.nikiforov, c.epsilon, tol)]
+
+
+def _check_main(c: BoundColumns, tol: float):
+    return [Claim("main", c.main, c.epsilon, tol)]
+
+
+def _check_dominance(c: BoundColumns, tol: float):
+    return [
+        Claim("dominance", c.nikiforov, c.main, tol),
+        # Strictly better whenever the degrees are not all equal.
+        Claim("dominance-strict", _where(c.n2_variance > 0, c.nikiforov), c.main, -TIE_TOL),
+    ]
+
+
+def _check_cg_degree(c: BoundColumns, tol: float):
+    return [Claim("cg-degree", c.cg_degree, c.epsilon, tol)]
+
+
+def _check_cgs(c: BoundColumns, tol: float):
+    return [Claim("cgs", c.cgs, c.epsilon, tol)]
+
+
+def _check_hofmeister(c: BoundColumns, tol: float):
+    hof = c.hofmeister_lb
+    return [
+        Claim("hofmeister", hof, c.rho, tol),
+        Claim("hofmeister-chain", c.avg_degree, hof, tol),
+    ]
+
+
+def _check_yu_lu_tian(c: BoundColumns, tol: float):
+    ylt = c.ylt_lb
+    return [
+        Claim("yu-lu-tian", ylt, c.rho, tol),
+        Claim("yu-lu-tian-chain", c.avg_degree, ylt, tol),
+    ]
+
+
+def _check_hong_shu_fang(c: BoundColumns, tol: float):
+    return [Claim("hong-shu-fang", c.rho, c.hsf_ub, tol)]
+
+
+def _check_liu_liu(c: BoundColumns, tol: float):
+    edges = c.m > 0
+    (sum_sq, m_q1), (_, two_m_dmax) = _liu_liu(c, c.q1)
+    return [
+        Claim("liu-liu-q1", _where(edges, sum_sq), m_q1, tol),
+        # 0 <= 0 on an edgeless row.
+        Claim("liu-liu-degree", sum_sq, two_m_dmax, 0),
+        Claim("q1-max-degree", _where(edges, c.q1), 2 * c.max_degree, tol),
+    ]
+
+
+def _check_rho_max_degree(c: BoundColumns, tol: float):
+    return [Claim("rho-max-degree", c.rho, c.max_degree, tol)]
+
+
+def _check_subregular_bounds(c: BoundColumns, tol: float):
+    return [
+        Claim("subregular-high", c.sub_high, c.epsilon, tol),
+        Claim("subregular-low", c.sub_low, c.epsilon, tol),
+    ]
+
+
+def _check_subregular_chain(c: BoundColumns, tol: float):
     # For connected high subregular graphs on n >= 7 the squared-bound gap
     # divided by 2*Dmax already lower-bounds the irregularity.
-    if ctx.sub_high is None:
-        return []
-    n, dmax = ctx.stats.n, ctx.stats.max_degree
-    lhs = float(l_high_exact(n, dmax)) / (2 * dmax)
-    return [Claim("subregular-high-chain", lhs, ctx.epsilon, tol)]
+    lhs = _on_rows(~np.isnan(c.sub_high),
+                   lambda dmax: float(l_high_exact(c.n, dmax)) / (2 * dmax), c.max_degree)
+    return [Claim("subregular-high-chain", lhs, c.epsilon, tol)]
 
 
-def _check_subregular_delta_cap(ctx: BoundReport, tol: float):
+def _check_subregular_delta_cap(c: BoundColumns, tol: float):
     # A high subregular graph cannot have a dominating vertex.
-    if ctx.regularity is not RegularityClass.HIGH_SUBREGULAR:
-        return []
-    return [Claim("subregular-delta-cap", ctx.stats.max_degree, ctx.stats.n - 2, 0)]
+    cap = c.n - 2
+    return [Claim("subregular-delta-cap", np.where(c.high_subregular, c.max_degree, cap), cap, 0)]
 
 
-def _check_low_subregular_rho_cap(ctx: BoundReport, tol: float):
-    if ctx.regularity is not RegularityClass.LOW_SUBREGULAR or not ctx.connected:
-        return []
-    cap = low_subregular_rho_upper(ctx.stats.max_degree)
-    return [Claim("low-subregular-rho-cap", ctx.rho, cap, tol)]
+def _check_low_subregular_rho_cap(c: BoundColumns, tol: float):
+    rows = c.low_subregular & c.connected
+    cap = _on_rows(rows, low_subregular_rho_upper, c.max_degree)
+    return [Claim("low-subregular-rho-cap", _where(rows, c.rho), cap, tol)]
 
 
-def _check_oracle_agreement(ctx: BoundReport, tol: float):
-    oracle = spectral_oracle(ctx.graph, ctx.rho)
-    return [Claim("oracle-agreement", abs(ctx.rho - oracle), 0.0, tol)]
+def _check_oracle_agreement(c: BoundColumns, tol: float):
+    oracle = _oracle_column(c.adjacency, c.rho)
+    return [Claim("oracle-agreement", np.abs(c.rho - oracle), 0.0, tol)]
 
 
 CHECK_GROUPS: dict[str, dict[str, CheckFn]] = {
@@ -273,6 +303,44 @@ def select_checks(only: Iterable[str] | None) -> dict[str, CheckFn]:
     return selected
 
 
+def _graph_of(adjacency: np.ndarray) -> Graph:
+    """The Graph of one 0/1 adjacency matrix."""
+    i, j = np.nonzero(np.triu(adjacency))
+    return Graph(len(adjacency), frozenset(zip(i.tolist(), j.tolist())))
+
+
+def _reported(side, scale) -> Fraction | float:
+    return side if scale == 1 else Fraction(int(side), int(scale))
+
+
+def _violations(
+    columns: BoundColumns, tol: float, checks: Mapping[str, CheckFn]
+) -> list[ViolationReport]:
+    """Every failed claim of one run, by row, then in check and claim order."""
+    rows = len(columns)
+    if not rows:
+        return []
+    claims = [claim for fn in checks.values() for claim in fn(columns, tol)]
+    failed = []  # (row, index in claims)
+    for k, (_, lhs, rhs, slack, _) in enumerate(claims):
+        fails = np.asarray(lhs - rhs > slack)
+        if fails.any():
+            failed += ((row, k) for row in np.flatnonzero(np.broadcast_to(fails, rows)).tolist())
+    violations = []
+    for row, group in groupby(sorted(failed), key=lambda f: f[0]):
+        g = _graph_of(columns.adjacency[row])
+        graph6 = to_graph6(g)
+        canonical = canonical_form(g).hex() if g.n <= ENUMERATION_CAP else None
+        for _, k in group:
+            name, lhs, rhs, slack, scale = claims[k]
+            lhs, rhs, scale = (np.broadcast_to(x, rows)[row].item() for x in (lhs, rhs, scale))
+            lhs, rhs = _reported(lhs, scale), _reported(rhs, scale)
+            violations.append(ViolationReport(
+                graph6=graph6, canonical=canonical, check_name=name, lhs=float(lhs),
+                rhs=float(rhs), margin=float(lhs - rhs), tolerance=float(slack)))
+    return violations
+
+
 def verify_graphs(
     graphs: Iterable[Graph],
     tol: float = DEFAULT_CHECK_TOL,
@@ -280,39 +348,46 @@ def verify_graphs(
 ) -> list[ViolationReport]:
     """Run the inequality checks on each graph; return all violations.
 
-    The graphs are evaluated by build_contexts, so consecutive graphs with
-    the same n share stacked eigensolves.
+    Consecutive graphs with the same n are evaluated together, one run
+    (spectral.split_runs) at a time.
     """
     check_tolerance(tol)
     registry = dict(checks) if checks is not None else select_checks(None)
-    violations: list[ViolationReport] = []
-    for ctx in build_contexts(graphs):
-        g = ctx.graph
-        failed = [
-            (name, lhs, rhs, slack)
-            for fn in registry.values()
-            for name, lhs, rhs, slack in fn(ctx, tol)
-            if lhs - rhs > slack
-        ]
-        if not failed:
-            continue
-        graph6 = to_graph6(g)
-        canonical = canonical_form(g).hex() if g.n <= ENUMERATION_CAP else None
-        violations.extend(
-            ViolationReport(graph6=graph6, canonical=canonical, check_name=name,
-                            lhs=float(lhs), rhs=float(rhs), margin=float(lhs - rhs),
-                            tolerance=float(slack))
-            for name, lhs, rhs, slack in failed
-        )
-    return violations
+    return [v for run in split_runs(graphs)
+            for v in _violations(bound_columns(_adjacency_stack(run)), tol, registry)]
 
 
 def enumerate_corpus(n_max: int, connected_only: bool = True) -> Iterator[Graph]:
     """Every class with n <= n_max in enumeration order; n_max is checked on the call."""
-    if not 1 <= n_max <= ENUMERATION_CAP:
-        raise ValueError(f"corpus cap is 1 <= n_max <= {ENUMERATION_CAP}, got {n_max}")
+    _check_corpus_cap(n_max)
     return (g for n in range(1, n_max + 1)
             for g in enumerate_graphs(n, connected_only=connected_only))
+
+
+def _check_corpus_cap(n_max: int) -> None:
+    if not 1 <= n_max <= ENUMERATION_CAP:
+        raise ValueError(f"corpus cap is 1 <= n_max <= {ENUMERATION_CAP}, got {n_max}")
+
+
+def corpus_runs(n_max: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Every class with n <= n_max, in enumeration order, as (n, bits) runs:
+    up to CHUNK consecutive rows of graphs._class_bits(n).  n_max is
+    checked on the call."""
+    _check_corpus_cap(n_max)
+    return ((n, bits) for n in range(1, n_max + 1) for bits in split_rows(_class_bits(n)))
+
+
+def verify_run(
+    run: tuple[int, np.ndarray],
+    tol: float,
+    checks: Mapping[str, CheckFn],
+    connected_only: bool,
+) -> tuple[int, list[ViolationReport]]:
+    """The number of graphs of a corpus run checked (its connected ones,
+    with connected_only) and their violations."""
+    n, bits = run
+    columns = bound_columns(_bits_stack(n, bits), connected_only=connected_only)
+    return len(columns), _violations(columns, tol, checks)
 
 
 def verify_corpus(
@@ -322,7 +397,10 @@ def verify_corpus(
     checks: Mapping[str, CheckFn] | None = None,
 ) -> list[ViolationReport]:
     """Run the checks (default: DEFAULT_CHECKS) on every class with n <= n_max."""
-    return verify_graphs(enumerate_corpus(n_max, connected_only), tol, checks)
+    runs = corpus_runs(n_max)
+    check_tolerance(tol)
+    registry = dict(checks) if checks is not None else select_checks(None)
+    return [v for run in runs for v in verify_run(run, tol, registry, connected_only)[1]]
 
 
 # ---------------------------------------------------------------------------
@@ -347,31 +425,51 @@ class SearchRecord:
     ties: tuple[tuple[str, int], ...]
 
 
-def _search_cell(graphs: Iterable[Graph], objective: str) -> SearchRecord | None:
-    """Extremal record of one (n, m) cell's graphs, n and m read from the winner.
+def _connected_epsilons(
+    n: int, classes: range, irregular_only: bool
+) -> Iterator[tuple[str, int, float, int]]:
+    """(graph6, m, epsilon, degree gap) of each connected class of n whose
+    index is in classes, in enumeration order; with irregular_only the
+    regular ones are left out.  rho comes from one eigensolve per run of
+    up to CHUNK classes, without q1."""
+    forms, bits = _class_forms(n), _class_bits(n)
+    for index in split_rows(np.arange(classes.start, classes.stop)):
+        stack = _bits_stack(n, bits[index])
+        degrees = stack.sum(axis=2, dtype=np.int64)
+        gap = degrees.max(axis=1) - degrees.min(axis=1)
+        keep = _connected_rows(stack)
+        if irregular_only:
+            keep &= gap > 0
+        rho = _solve_stack(stack[keep], DEFAULT_TOL, with_q1=False)[0]
+        m = degrees[keep].sum(axis=1) // 2
+        yield from zip([forms[k] for k in index[keep].tolist()], m.tolist(),
+                       _epsilon(rho, m, n).tolist(), gap[keep].tolist())
 
-    rho comes from spectral_runs, without q1: the cell's graphs share n.
-    """
-    best: list[tuple[Graph, float]] = []
+
+def _search_cell(
+    n: int, rows: Iterable[tuple[str, int, float, int]], objective: str
+) -> SearchRecord | None:
+    """Extremal record of one (n, m) cell from its (graph6, m, epsilon,
+    degree gap) rows, in enumeration order."""
+    best: list[tuple[str, int, float, int]] = []
     sign = 1.0 if objective == "min" else -1.0
-    for g, result in spectral_runs(graphs):
-        eps = _epsilon(result.rho, g.m, g.n)
-        delta = sign * (eps - best[0][1]) if best else -math.inf
+    for row in rows:
+        delta = sign * (row[2] - best[0][2]) if best else -math.inf
         if delta < -TIE_TOL:
-            best = [(g, eps)]
+            best = [row]
         elif delta <= TIE_TOL:
-            best.append((g, eps))
+            best.append(row)
     if not best:
         return None
-    ties = tuple((to_graph6(g), max(g.degrees) - min(g.degrees)) for g, _ in best)
+    graph6, m, eps, gap = best[0]
     return SearchRecord(
         objective=objective,
-        n=best[0][0].n,
-        m=best[0][0].m,
-        graph6=ties[0][0],
-        epsilon=best[0][1],
-        degree_gap=ties[0][1],
-        ties=ties,
+        n=n,
+        m=m,
+        graph6=graph6,
+        epsilon=eps,
+        degree_gap=gap,
+        ties=tuple((text, tie_gap) for text, _, _, tie_gap in best),
     )
 
 
@@ -395,16 +493,19 @@ def hong_search(n_values: Iterable[int]) -> list[SearchRecord]:
     records: list[SearchRecord] = []
     for n in check_search_sizes(n_values):
         # Classes arrive sorted by edge count: each run of equal m is one cell.
-        irregular = (g for g in enumerate_graphs(n, connected_only=True)
-                     if classify(g) is not RegularityClass.REGULAR)
-        records.extend(_search_cell(cell, "min") for _, cell in groupby(irregular, lambda g: g.m))
+        rows = _connected_epsilons(n, range(len(_class_forms(n))), irregular_only=True)
+        records.extend(_search_cell(n, cell, "min") for _, cell in groupby(rows, lambda r: r[1]))
     return records
 
 
 def bell_max_search(n: int, m: int) -> SearchRecord:
     """Maximal-irregularity connected graph with n (2..ENUMERATION_CAP) vertices and m edges."""
     check_search_sizes([n])
-    record = _search_cell(enumerate_graphs(n, m=m, connected_only=True), "max")
+    _check_edge_count(n, m)
+    edges = _class_bits(n).sum(axis=1)  # sorted, as the classes are
+    first, stop = np.searchsorted(edges, [m, m + 1]).tolist()
+    record = _search_cell(n, _connected_epsilons(n, range(first, stop), irregular_only=False),
+                          "max")
     if record is None:
         raise ValueError(f"no connected graph with n={n}, m={m}")
     return record

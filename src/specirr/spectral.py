@@ -15,9 +15,12 @@ adjacency stack, one vectorised residual gate over every row (a failure
 raises for the first failing graph in input order), and, only when q1 is
 wanted, one eigvalsh on the stack of A + D.  LAPACK solves each matrix of
 a stack as it would solve it alone, so no value depends on how the input
-was cut into runs.  CHUNK bounds a run's arrays: verify and search feed
-their graphs in enumeration order, sorted by n, so almost every run holds
-CHUNK graphs; compute evaluates each graph alone, a run of one.
+was cut into runs.  CHUNK bounds a run's arrays.  verify and search take
+their runs straight from the stored classes, CHUNK consecutive rows of
+one level at a time (split_rows), and hand the stack to _solve_stack,
+which returns columns; spectral_runs cuts runs from Graph input
+(split_runs) and returns one SpectralResult per graph.  compute evaluates
+each graph alone, a run of one.
 
 The oracle path certifies rho exactly: by Sylvester's law of inertia, the
 number of eigenvalues of A above a rational x = p/q is the number of sign
@@ -27,7 +30,8 @@ Counting on the grid x(j) = (2j + 1) / 2^41, which contains no integer
 (so, the eigenvalues of every leading submatrix being algebraic integers,
 no minor vanishes), brackets rho in an interval of width 2^-40; its
 midpoint is within 2^-41 of the true radius.  The eigensolve only seeds
-that search, so the oracle cross-validates it.
+that search, so the oracle cross-validates it.  Each graph's -2^41 A is
+built once and copied for each count, which sets only the diagonal.
 """
 
 from __future__ import annotations
@@ -91,28 +95,38 @@ def split_runs(graphs: Iterable[Graph]) -> Iterator[list[Graph]]:
         yield run
 
 
+def split_rows(rows: np.ndarray) -> Iterator[np.ndarray]:
+    """Consecutive slices of at most CHUNK rows: the runs of rows already
+    known to share n."""
+    return (rows[start:start + CHUNK] for start in range(0, len(rows), CHUNK))
+
+
 def _adjacency_stack(run: Sequence[Graph]) -> np.ndarray:
-    """(len(run), n, n) dense 0/1 adjacency matrices of graphs sharing n;
-    row v of a graph's matrix unpacks the bits of its neighbor_masks[v]."""
+    """(len(run), n, n) uint8 adjacency matrices of graphs sharing n; row v
+    of a graph's matrix unpacks the bits of its neighbor_masks[v]."""
     n = run[0].n
     width = (n + 7) // 8
     packed = b"".join(mask.to_bytes(width, "little") for g in run for mask in g.neighbor_masks)
     rows = np.frombuffer(packed, dtype=np.uint8).reshape(len(run), n, width)
-    return np.unpackbits(rows, axis=2, count=n, bitorder="little").astype(float)
+    return np.unpackbits(rows, axis=2, count=n, bitorder="little")
 
 
 def _adjacency_matrix(g: Graph) -> np.ndarray:
-    return _adjacency_stack([g])[0]
+    return _adjacency_stack([g])[0].astype(float)
 
 
-def _solve_run(run: Sequence[Graph], tol: float, with_q1: bool) -> list[SpectralResult]:
-    """Top eigenpair of each adjacency matrix of a run, checked by its
-    residual, and the signless-Laplacian radius when with_q1 is set.
+def _solve_stack(
+    stack: np.ndarray, tol: float, with_q1: bool
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+    """(rho, q1, residual) columns of a (B, n, n) stack of 0/1 adjacency
+    matrices: the top eigenpair of each, checked by its residual, and the
+    signless-Laplacian radius when with_q1 is set (None otherwise).
 
     For a symmetric matrix the residual ||Ax - rho x|| of a unit vector x
-    bounds the distance from rho to the nearest eigenvalue.
+    bounds the distance from rho to the nearest eigenvalue.  The stack is
+    not modified.
     """
-    adj = _adjacency_stack(run)
+    adj = stack.astype(float)
     values, vectors = np.linalg.eigh(adj)
     rho, x = values[:, -1], vectors[:, :, -1:]
     d = adj @ x - rho[:, None, None] * x
@@ -125,11 +139,18 @@ def _solve_run(run: Sequence[Graph], tol: float, with_q1: bool) -> list[Spectral
             f"spectral residual {residual[i]:.3e} above tolerance {tol:.3e} "
             f"(relative to rho = {rho[i]:.6g})"
         )
-    q1 = [None] * len(run)
+    q1 = None
     if with_q1:
-        diagonal = np.arange(run[0].n)
+        diagonal = np.arange(adj.shape[1])
         adj[:, diagonal, diagonal] = adj.sum(axis=2)  # A + D
-        q1 = np.linalg.eigvalsh(adj)[:, -1].tolist()
+        q1 = np.linalg.eigvalsh(adj)[:, -1]
+    return rho, q1, residual
+
+
+def _solve_run(run: Sequence[Graph], tol: float, with_q1: bool) -> list[SpectralResult]:
+    """_solve_stack on the adjacency stack of a run, as one SpectralResult per graph."""
+    rho, q1, residual = _solve_stack(_adjacency_stack(run), tol, with_q1)
+    q1 = [None] * len(run) if q1 is None else q1.tolist()
     return [SpectralResult(rho=r, q1=q, iterations=1, residual=e)
             for r, q, e in zip(rho.tolist(), q1, residual.tolist())]
 
@@ -178,8 +199,15 @@ def spectral_summary(g: Graph, tol: float = DEFAULT_TOL) -> SpectralResult:
 _GRID_BITS = 40  # the oracle brackets rho in an interval of width 2^-40
 
 
-def _count_above(masks: Sequence[int], n: int, num: int) -> int:
-    """Number of eigenvalues of A above x = num / 2^41, for odd num.
+def _scaled_adjacency(masks: Sequence[int], n: int) -> list[list[int]]:
+    """The integer matrix -2^41*A as rows, its diagonal 0."""
+    scale = 1 << (_GRID_BITS + 1)
+    return [[-scale if mask >> j & 1 else 0 for j in range(n)] for mask in masks]
+
+
+def _count_above(scaled: Sequence[Sequence[int]], num: int) -> int:
+    """Number of eigenvalues of A above x = num / 2^41, for odd num, where
+    scaled is _scaled_adjacency of A.
 
     By Sylvester's law of inertia this is the number of negative
     eigenvalues of the integer matrix M = num*I - 2^41*A, which is the
@@ -188,13 +216,13 @@ def _count_above(masks: Sequence[int], n: int, num: int) -> int:
     pivot, dividing each step exactly by the previous pivot Dk.  No minor
     vanishes: Dk = 2^(41k) det(xI - A_k), and every eigenvalue of the
     integer symmetric A_k is an algebraic integer, hence never the
-    non-integer rational x.
+    non-integer rational x.  M is a copy of scaled with num on its
+    diagonal: elimination overwrites it, and scaled serves every count.
     """
-    scale = 1 << (_GRID_BITS + 1)
-    rows = [
-        [num if i == j else -scale * ((masks[i] >> j) & 1) for j in range(n)]
-        for i in range(n)
-    ]
+    n = len(scaled)
+    rows = [list(row) for row in scaled]
+    for i in range(n):
+        rows[i][i] = num
     changes, prev = 0, 1
     for k in range(n):
         row_k = rows[k]
@@ -219,8 +247,10 @@ def _bracket_radius(masks: Sequence[int], n: int, estimate: float) -> float:
     then bisects; a poor estimate costs counts, never correctness.
     """
 
+    scaled = _scaled_adjacency(masks, n)
+
     def above(j: int) -> bool:
-        return _count_above(masks, n, 2 * j + 1) > 0
+        return _count_above(scaled, 2 * j + 1) > 0
 
     seed = round(estimate * (1 << _GRID_BITS))
     step = 1
@@ -241,6 +271,11 @@ def _bracket_radius(masks: Sequence[int], n: int, estimate: float) -> float:
     return hi / (1 << _GRID_BITS)
 
 
+def _check_oracle_size(n: int) -> None:
+    if n > ORACLE_MAX_N:
+        raise ValueError(f"oracle capped at n <= {ORACLE_MAX_N}, got {n}")
+
+
 def spectral_oracle(g: Graph, estimate: float | None = None) -> float:
     """Adjacency spectral radius certified by exact inertia counts.
 
@@ -254,9 +289,18 @@ def spectral_oracle(g: Graph, estimate: float | None = None) -> float:
     not depend on it.  A disconnected graph or a repeated top eigenvalue
     needs no special case.
     """
-    if g.n > ORACLE_MAX_N:
-        raise ValueError(f"oracle capped at n <= {ORACLE_MAX_N}, got {g.n}")
+    _check_oracle_size(g.n)
     if estimate is None:
         # Ungated: a residual the eigensolve would reject still seeds the search.
         estimate = float(np.linalg.eigvalsh(_adjacency_matrix(g))[-1])
     return _bracket_radius(g.neighbor_masks, g.n, estimate)
+
+
+def _oracle_column(stack: np.ndarray, estimates: np.ndarray) -> np.ndarray:
+    """spectral_oracle of each matrix of a (B, n, n) 0/1 adjacency stack,
+    seeded by the matching estimate."""
+    n = stack.shape[1]
+    _check_oracle_size(n)
+    masks = (stack.astype(np.int64) << np.arange(n)).sum(axis=2)
+    return np.array([_bracket_radius(row, n, estimate)
+                     for row, estimate in zip(masks.tolist(), estimates.tolist())])

@@ -1,9 +1,11 @@
 """Bound formulas: frozen arithmetic values, tightness cases, and gating."""
 
+import contextlib
 import math
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from specirr import (
@@ -33,14 +35,19 @@ from specirr import (
     subdivided_prism,
     subregular_bounds,
     variance_sandwich,
+    verify_corpus,
+    verify_graphs,
     yu_lu_tian_lower,
 )
 from specirr.bounds import (
+    build_context,
     l_high_exact,
     l_high_two_term_exact,
     l_low_exact,
     l_low_two_term_exact,
 )
+from specirr.cli import GENERATORS
+from specirr.spectral import _adjacency_stack
 
 # Frozen golden constants for the subdivided 3-prism witness (see
 # test_spectral for their provenance).
@@ -406,3 +413,71 @@ def test_gates_on_every_class():
         assert set(rep.applicability) <= set(gates) | degenerate, g
     # Each gate both holds and fails somewhere in the sweep.
     assert all(0 < applied[key] < len(graphs) for key in gates), applied
+
+
+# ---------------------------------------------------------------------------
+# The column evaluation of verify and search against the per-graph record
+# ---------------------------------------------------------------------------
+
+FLOAT_FIELDS = ("rho", "q1", "epsilon", "nikiforov", "main", "cg_degree", "cgs",
+                "sub_high", "sub_low", "hofmeister_lb", "ylt_lb", "hsf_ub", "var_lb", "var_ub")
+
+
+def _assert_row_is_report(columns, row, rep):
+    # Row `row` of a run's BoundColumns against build_context's BoundReport:
+    # every value bit for bit, and NaN exactly where the report has None,
+    # which is exactly where its note marks the bound inapplicable.
+    s, where = rep.stats, (rep.graph, row)
+    assert columns.n == s.n
+    assert np.array_equal(columns.adjacency[row], _adjacency_stack([rep.graph])[0]), where
+    assert tuple(columns.degrees[row].tolist()) == s.degrees, where
+    assert tuple(columns.two_degrees[row].tolist()) == s.two_degrees, where
+    ints = ("m", "max_degree", "min_degree", "sum_sq_degrees")
+    assert [getattr(columns, key)[row] for key in ints] == [getattr(s, key) for key in ints]
+    assert Fraction(int(columns.n2_variance[row]), s.n * s.n) == s.variance, where
+    assert columns.avg_degree[row].hex() == s.avg_degree_float.hex(), where
+    assert columns.variance[row].hex() == s.variance_float.hex(), where
+    assert columns.connected[row] == rep.connected, where
+    classes = (columns.regular[row], columns.high_subregular[row], columns.low_subregular[row])
+    assert classes == tuple(rep.regularity is c for c in list(RegularityClass)[:3]), where
+    for key in FLOAT_FIELDS:
+        value, column = getattr(rep, key), float(getattr(columns, key)[row])
+        inapplicable = rep.applicability.get(key, "").startswith("inapplicable:")
+        assert (value is None) == math.isnan(column) == inapplicable, (key, where)
+        if value is not None:
+            assert value.hex() == column.hex(), (key, where, value, column)
+    degenerate = {key for key, note in rep.applicability.items() if note.startswith("degenerate:")}
+    assert degenerate == ({"nikiforov", "main", "cg_degree"} if columns.m[row] == 0 else set())
+
+
+def _captured_runs(verify):
+    # verify(checks) with a check that keeps each run's columns and claims nothing.
+    runs = []
+    assert verify({"capture": lambda columns, tol: runs.append(columns) or []}) == []
+    return runs
+
+
+def test_columns_equal_the_report_on_every_small_class():
+    # The corpus path of verify_corpus, disconnected classes included.
+    graphs = [g for n in range(1, 8) for g in enumerate_graphs(n)]
+    runs = _captured_runs(lambda checks: verify_corpus(7, connected_only=False, checks=checks))
+    rows = [(columns, row) for columns in runs for row in range(len(columns))]
+    assert len(rows) == len(graphs) == 1252
+    for (columns, row), g in zip(rows, graphs):
+        _assert_row_is_report(columns, row, build_context(g))
+
+
+def test_columns_equal_the_report_on_every_family_to_n_40():
+    # verify_graphs on Graph input, past the enumeration cap, in runs of
+    # several graphs with one n.
+    graphs = []
+    for make in GENERATORS.values():
+        for size in range(1, 41):
+            with contextlib.suppress(ValueError):  # below the family's least size
+                graphs.append(make(size))
+    graphs = sorted((g for g in graphs if g.n <= 40), key=lambda g: g.n)
+    runs = _captured_runs(lambda checks: verify_graphs(graphs, checks=checks))
+    rows = [(columns, row) for columns in runs for row in range(len(columns))]
+    assert len(rows) == len(graphs) and max(len(columns) for columns in runs) > 1
+    for (columns, row), g in zip(rows, graphs):
+        _assert_row_is_report(columns, row, build_context(g))

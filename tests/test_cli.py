@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import specirr
-from specirr import from_edges, graphs, parse_graph6, subdivided_prism, to_graph6
+from specirr import from_edges, graphs, parse_graph6, spectral, subdivided_prism, to_graph6
 from specirr.cli import REPORT_COLUMNS, main
 
 WITNESS_G6 = to_graph6(subdivided_prism(3))
@@ -216,17 +216,21 @@ def test_verify_self_test_exits_one(tmp_path, capsys):
     assert rows and all(r["check"] == "self-test-corrupted" for r in rows)
 
 
-def test_verify_jobs_deterministic(tmp_path, capsys):
+@pytest.mark.parametrize("chunk", [1, 5, 64])
+def test_verify_jobs_deterministic(chunk, tmp_path, monkeypatch, capsys):
     # The self-test flags all 31 connected classes n <= 5: the file must not
-    # depend on how many workers checked them.
-    files = []
+    # depend on how many workers checked them, nor on how the classes were
+    # cut into runs.  The first file is made with the default cut.
+    files = [tmp_path / "reference.csv"]
+    run_cli(["verify", "--n-max", "5", "--self-test", "--violations-file", str(files[0])], capsys)
+    monkeypatch.setattr(spectral, "CHUNK", chunk)
     for jobs in ("1", "2", "3"):
         files.append(tmp_path / f"v{jobs}.csv")
         code, _, err = run_cli(["verify", "--n-max", "5", "--self-test", "--jobs", jobs,
                                 "--violations-file", str(files[-1])], capsys)
         assert (code, err) == (1, "checked 31 graphs, 31 violations\n")
     assert len(files[0].read_text().splitlines()) == 1 + 31
-    assert files[0].read_bytes() == files[1].read_bytes() == files[2].read_bytes()
+    assert len({f.read_bytes() for f in files}) == 1
 
 
 @pytest.mark.parametrize("cpus, started", [(3, [3]), (1, []), (None, [])])
@@ -263,10 +267,11 @@ def test_verify_jobs_capped_at_cpu_count(cpus, started, tmp_path, monkeypatch, c
     assert requested == started
     assert files[0].read_bytes() == files[1].read_bytes()
     if started:
-        # One message per run: all the connected classes with one n, n <= 5.
+        # One message per run: all the classes with one n, n <= 5, as
+        # (n, bit rows); each worker keeps the connected ones.
         assert chunksizes == [1]
-        assert [[g.n for g in batch] for batch in messages] == [
-            [n] * count for n, count in enumerate([1, 1, 2, 6, 21], 1)]
+        assert [(n, len(bits)) for n, bits in messages] == list(
+            enumerate([1, 2, 4, 11, 34], 1))
 
 
 @pytest.mark.parametrize("command", [

@@ -2,8 +2,8 @@
 
 import dataclasses
 import math
-from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from specirr import (
@@ -19,7 +19,7 @@ from specirr import (
     verify_graphs,
 )
 from specirr import harness
-from specirr.bounds import l_high_exact
+from specirr.bounds import bound_columns, l_high_exact
 from specirr.graphs import (
     canonical_form,
     enumerate_graphs,
@@ -34,10 +34,10 @@ from specirr.harness import (
     DEFAULT_CHECKS,
     TIE_TOL,
     Claim,
-    build_context,
     reevaluate_record,
     select_checks,
 )
+from specirr.spectral import _adjacency_stack
 
 PAW = from_edges(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
 
@@ -87,35 +87,40 @@ def test_violations_past_the_enumeration_cap_have_no_canonical():
     assert v.canonical == canonical_form(path(9)).hex()
 
 
+def _columns(g):
+    # A run of one graph, as verify_graphs evaluates it.
+    return bound_columns(_adjacency_stack([g]))
+
+
 def test_strictness_checks_fire_on_degenerate_values():
-    # Tampered contexts: equal bounds must trip dominance-strict, and a
+    # Tampered columns: equal bounds must trip dominance-strict, and a
     # non-regular graph pinned at the average degree must trip cs-equality.
-    ctx = build_context(PAW)
+    columns = _columns(PAW)
     tol = 1e-9
 
-    flattened = dataclasses.replace(ctx, main=ctx.nikiforov)
+    flattened = dataclasses.replace(columns, main=columns.nikiforov)
     claims = ALL_CHECKS["dominance"](flattened, tol)
-    assert any(name == "dominance-strict" and lhs - rhs > slack
-               for name, lhs, rhs, slack in claims)
+    assert any(name == "dominance-strict" and np.any(lhs - rhs > slack)
+               for name, lhs, rhs, slack, _ in claims)
 
-    pinned = dataclasses.replace(ctx, rho=ctx.stats.avg_degree_float)
+    pinned = dataclasses.replace(columns, rho=columns.avg_degree)
     claims = ALL_CHECKS["cs-equality"](pinned, tol)
-    assert any(lhs - rhs > slack for _, lhs, rhs, slack in claims)
+    assert any(np.any(lhs - rhs > slack) for _, lhs, rhs, slack, _ in claims)
 
 
 def test_oracle_agreement_fires_on_a_shifted_rho():
-    # A context whose rho is off by 1e-6 must disagree with the oracle.
-    ctx = build_context(PAW)
+    # Columns whose rho is off by 1e-6 must disagree with the oracle.
+    columns = _columns(PAW)
     tol = 1e-9
     check = ALL_CHECKS["oracle-agreement"]
-    assert all(lhs - rhs <= slack for _, lhs, rhs, slack in check(ctx, tol))
-    shifted = dataclasses.replace(ctx, rho=ctx.rho + 1e-6)
-    assert any(lhs - rhs > slack for _, lhs, rhs, slack in check(shifted, tol))
+    assert all(np.all(lhs - rhs <= slack) for _, lhs, rhs, slack, _ in check(columns, tol))
+    shifted = dataclasses.replace(columns, rho=columns.rho + 1e-6)
+    assert any(np.any(lhs - rhs > slack) for _, lhs, rhs, slack, _ in check(shifted, tol))
 
 
-def _tampered_witness(**stats):
-    ctx = build_context(subdivided_prism(3))  # n=7, m=10, Dmax=3, var=6/49
-    return dataclasses.replace(ctx, stats=dataclasses.replace(ctx.stats, **stats))
+def _tampered_witness(**fields):
+    columns = _columns(subdivided_prism(3))  # n=7, m=10, Dmax=3, n^2 var=6
+    return dataclasses.replace(columns, **{k: np.array([v]) for k, v in fields.items()})
 
 
 EXACT_TAMPERS = {
@@ -123,25 +128,24 @@ EXACT_TAMPERS = {
     "subregular-delta-cap": ("subregular-delta-cap", dict(max_degree=6)),
     # sum d^2 = 2 m Dmax + 1 = 61 > 60.
     "liu-liu-degree": ("liu-liu", dict(sum_sq_degrees=61)),
-    # Just outside the endpoints (3-2)^2/14 and (3-2)^2/4.
-    "variance-sandwich-lower": ("variance-sandwich",
-                                dict(variance=Fraction(1, 14) - Fraction(1, 10**15))),
-    "variance-sandwich-upper": ("variance-sandwich",
-                                dict(variance=Fraction(1, 4) + Fraction(1, 10**15))),
+    # The integers n^2 var nearest outside the endpoints
+    # n^2 (3-2)^2/14 = 3.5 and n^2 (3-2)^2/4 = 12.25.
+    "variance-sandwich-lower": ("variance-sandwich", dict(n2_variance=3)),
+    "variance-sandwich-upper": ("variance-sandwich", dict(n2_variance=13)),
 }
 
 
 @pytest.mark.parametrize("tol", [1e-9, 1.0, 2.0])
 @pytest.mark.parametrize("claim", sorted(EXACT_TAMPERS))
 def test_exact_claims_fire_at_any_tolerance(claim, tol):
-    # Integer and rational sides are compared exactly, so a violation by
-    # 1 (or by 1e-15) is reported however large --tol is.
-    check, stats = EXACT_TAMPERS[claim]
+    # Integer sides are compared exactly, so a violation by one integer
+    # step, far below 1 in the variance, is reported however large --tol is.
+    check, fields = EXACT_TAMPERS[claim]
     witness = subdivided_prism(3)
     assert verify_graphs([witness], tol, {check: ALL_CHECKS[check]}) == []
-    tampered = _tampered_witness(**stats)
+    tampered = _tampered_witness(**fields)
     violations = verify_graphs([witness], tol, {
-        check: lambda ctx, t: ALL_CHECKS[check](tampered, t)})
+        check: lambda columns, t: ALL_CHECKS[check](tampered, t)})
     fired = [v for v in violations if v.check_name == claim]
     assert len(fired) == 1
     assert fired[0].tolerance == 0.0 and fired[0].margin > 0
@@ -243,8 +247,8 @@ def test_cap_is_checked_before_any_enumeration(call, monkeypatch):
     # The whole request is checked first: no n is enumerated before
     # n = 10 is refused.
     calls = []
-    monkeypatch.setattr(harness, "enumerate_graphs",
-                        lambda *args, **kwargs: calls.append(args) or iter(()))
+    for name in ("enumerate_graphs", "_class_forms", "_class_bits"):  # each way to the classes
+        monkeypatch.setattr(harness, name, lambda *args, **kwargs: calls.append(args) or iter(()))
     with pytest.raises(ValueError, match="cap"):
         call()
     assert calls == []

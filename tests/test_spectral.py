@@ -33,6 +33,7 @@ from specirr.spectral import (
     _adjacency_matrix,
     _bracket_radius,
     _count_above,
+    _scaled_adjacency,
     spectral_runs,
 )
 
@@ -290,12 +291,13 @@ def test_count_above_matches_eigensolve():
     one = 1 << 41
     for g in graphs:
         values = np.linalg.eigvalsh(_adjacency_matrix(g))
+        scaled = _scaled_adjacency(g.neighbor_masks, g.n)
         points = [i * one + d for i in range(-g.n, g.n + 1) for d in (-1, 1)]
         points += [i * one + one // 2 + 1 for i in range(-g.n, g.n)]
         points += [2 * rng.randrange(-g.n * one, g.n * one) + 1 for _ in range(4)]
         for num in points:
             expected = int(np.sum(values > num / one))
-            assert _count_above(g.neighbor_masks, g.n, num) == expected, (g, num)
+            assert _count_above(scaled, num) == expected, (g, num)
 
 
 def test_oracle_search_recovers_from_wrong_seeds():

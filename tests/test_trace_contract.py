@@ -10,7 +10,9 @@ import importlib.util
 from pathlib import Path
 
 from specirr import adjacency_spectral_radius, subdivided_prism
-from specirr.harness import ALL_CHECKS, DEFAULT_CHECK_TOL, build_context
+from specirr.bounds import bound_columns
+from specirr.harness import ALL_CHECKS, DEFAULT_CHECK_TOL
+from specirr.spectral import _adjacency_stack
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -30,10 +32,10 @@ def test_traced_names_resolve():
 
 
 def test_checks_return_lists_of_claims():
-    ctx = build_context(subdivided_prism(3))
+    columns = bound_columns(_adjacency_stack([subdivided_prism(3)]))
     for name, fn in ALL_CHECKS.items():
         assert isinstance(name, str) and callable(fn)
-        assert isinstance(fn(ctx, DEFAULT_CHECK_TOL), list), name
+        assert isinstance(fn(columns, DEFAULT_CHECK_TOL), list), name
 
 
 def test_spectral_result_exposes_observed_fields():
