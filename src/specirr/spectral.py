@@ -24,14 +24,18 @@ each graph alone, a run of one.
 
 The oracle path certifies rho exactly: by Sylvester's law of inertia, the
 number of eigenvalues of A above a rational x = p/q is the number of sign
-changes in the leading principal minors of the integer matrix pI - qA,
-which Bareiss fraction-free elimination computes in integer arithmetic.
-Counting on the grid x(j) = (2j + 1) / 2^41, which contains no integer
-(so, the eigenvalues of every leading submatrix being algebraic integers,
-no minor vanishes), brackets rho in an interval of width 2^-40; its
-midpoint is within 2^-41 of the true radius.  The eigensolve only seeds
-that search, so the oracle cross-validates it.  Each graph's -2^41 A is
-built once and copied for each count, which sets only the diagonal.
+changes in the leading principal minors of the integer matrix pI - qA.
+With q = 2^41 the k-th minor is 2^(41k) p_k(x), where p_k is the
+characteristic polynomial of A's leading k x k submatrix.  One
+division-free Samuelson-Berkowitz pass per run computes p_1 ... p_n for the
+whole (B, n, n) stack in int64 numpy (every intermediate stays below 2^40
+for n <= ORACLE_MAX_N), and each count evaluates every minor exactly by a
+homogeneous Horner pass over Python ints.  Counting on the grid
+x(j) = (2j + 1) / 2^41, which contains no integer (so, the eigenvalues of
+every leading submatrix being algebraic integers, no minor vanishes),
+brackets rho in an interval of width 2^-40; its midpoint is within 2^-41
+of the true radius.  The eigensolve only seeds that search, so the oracle
+cross-validates it.
 """
 
 from __future__ import annotations
@@ -109,10 +113,6 @@ def _adjacency_stack(run: Sequence[Graph]) -> np.ndarray:
     packed = b"".join(mask.to_bytes(width, "little") for g in run for mask in g.neighbor_masks)
     rows = np.frombuffer(packed, dtype=np.uint8).reshape(len(run), n, width)
     return np.unpackbits(rows, axis=2, count=n, bitorder="little")
-
-
-def _adjacency_matrix(g: Graph) -> np.ndarray:
-    return _adjacency_stack([g])[0].astype(float)
 
 
 def _solve_stack(
@@ -199,58 +199,85 @@ def spectral_summary(g: Graph, tol: float = DEFAULT_TOL) -> SpectralResult:
 _GRID_BITS = 40  # the oracle brackets rho in an interval of width 2^-40
 
 
-def _scaled_adjacency(masks: Sequence[int], n: int) -> list[list[int]]:
-    """The integer matrix -2^41*A as rows, its diagonal 0."""
-    scale = 1 << (_GRID_BITS + 1)
-    return [[-scale if mask >> j & 1 else 0 for j in range(n)] for mask in masks]
+def _leading_polynomials(stack: np.ndarray) -> np.ndarray:
+    """(B, n + 1, n + 1) int64 coefficients of p_k(t) = det(tI - A_k), the
+    characteristic polynomial of each leading principal k x k submatrix A_k
+    of a (B, n, n) 0/1 adjacency stack: row k holds p_k's coefficients from
+    t^k down to t^0, then zeros; row 0 is p_0 = 1.
+
+    Samuelson-Berkowitz, division-free: with A_(k+1) = [[A_k, c], [c^T, 0]],
+    p_(k+1)(t) = t p_k(t) - sum over j < k of (c^T A_k^j c) (p_k(t) div t^(j+1)),
+    one batched mat-vec per j.  Every intermediate stays below 2^40 for
+    n <= ORACLE_MAX_N, far below int64's 2^63: c^T A_k^j c <= k (k-1)^j,
+    the i-th coefficient of p_l is at most C(l, i) i^(i/2) in absolute value
+    (a sum of C(l, i) principal minors, each bounded by Hadamard's
+    inequality), and with these every sum the recursion forms is at most
+    5.5e11 for k <= 11.  K12 reaches 1.1e11.  The recursion only adds,
+    subtracts and multiplies, so the coefficients would be right modulo
+    2^64 even past that bound.
+    """
+    adj = stack.astype(np.int64)
+    size, n = adj.shape[:2]
+    coeffs = np.zeros((size, n + 1, n + 1), dtype=np.int64)
+    coeffs[:, :, 0] = 1
+    for k in range(1, n):
+        prev, new = coeffs[:, k, :k + 1], coeffs[:, k + 1]
+        new[:, 1:k + 1] = prev[:, 1:]
+        head, c = adj[:, :k, :k], adj[:, :k, k]
+        walk = c
+        for j in range(k):
+            if j:
+                walk = np.einsum("bij,bj->bi", head, walk)
+            new[:, j + 2:k + 2] -= np.einsum("bi,bi->b", c, walk)[:, None] * prev[:, :k - j]
+    return coeffs
 
 
-def _count_above(scaled: Sequence[Sequence[int]], num: int) -> int:
+def _leading_minors(stack: np.ndarray) -> list[list[list[int]]]:
+    """Per matrix of a (B, n, n) 0/1 adjacency stack and per k = 1..n, the
+    Python-int coefficients e_(k,i) 2^(41i), i = 0..k, of the homogenized
+    D_k(num) = 2^(41k) p_k(num / 2^41) = sum_i e_(k,i) num^(k-i) 2^(41i),
+    from _leading_polynomials."""
+    n = stack.shape[1]
+    scale = np.array([1 << (_GRID_BITS + 1) * i for i in range(n + 1)], dtype=object)
+    homogenized = (_leading_polynomials(stack).astype(object) * scale).tolist()
+    return [[row[:k + 1] for k, row in enumerate(rows) if k] for rows in homogenized]
+
+
+def _count_above(minors: Sequence[Sequence[int]], num: int) -> int:
     """Number of eigenvalues of A above x = num / 2^41, for odd num, where
-    scaled is _scaled_adjacency of A.
+    minors is A's entry of _leading_minors.
 
     By Sylvester's law of inertia this is the number of negative
     eigenvalues of the integer matrix M = num*I - 2^41*A, which is the
     number of sign changes in 1, D1, ..., Dn, the leading principal minors
-    of M.  Bareiss fraction-free elimination yields D(k+1) as its k-th
-    pivot, dividing each step exactly by the previous pivot Dk.  No minor
-    vanishes: Dk = 2^(41k) det(xI - A_k), and every eigenvalue of the
-    integer symmetric A_k is an algebraic integer, hence never the
-    non-integer rational x.  M is a copy of scaled with num on its
-    diagonal: elimination overwrites it, and scaled serves every count.
+    of M.  Dk = 2^(41k) p_k(x) = sum_i e_(k,i) num^(k-i) 2^(41i), one
+    homogeneous Horner pass over Python ints per minor; every minor is
+    evaluated and checked.  None vanishes: every eigenvalue of the integer
+    symmetric A_k is an algebraic integer, hence never the non-integer
+    rational x.
     """
-    n = len(scaled)
-    rows = [list(row) for row in scaled]
-    for i in range(n):
-        rows[i][i] = num
     changes, prev = 0, 1
-    for k in range(n):
-        row_k = rows[k]
-        pivot = row_k[k]
-        if pivot == 0:
+    for row in minors:
+        value = 0
+        for coefficient in row:
+            value = value * num + coefficient
+        if value == 0:
             raise AssertionError("a leading minor vanished at a non-integer point")
-        changes += (pivot < 0) != (prev < 0)
-        # Each step keeps M symmetric: update only the upper triangle.
-        for i in range(k + 1, n):
-            row_i, lead = rows[i], row_k[i]
-            for j in range(i, n):
-                row_i[j] = (pivot * row_i[j] - lead * row_k[j]) // prev
-        prev = pivot
+        changes += (value < 0) != (prev < 0)
+        prev = value
     return changes
 
 
-def _bracket_radius(masks: Sequence[int], n: int, estimate: float) -> float:
+def _bracket_radius(minors: Sequence[Sequence[int]], estimate: float) -> float:
     """j / 2^40 for the grid index j with x(j-1) < rho < x(j), where
-    x(j) = (2j + 1) / 2^41.
+    x(j) = (2j + 1) / 2^41 and minors is A's entry of _leading_minors.
 
-    The search gallops outward from the estimate with doubling steps and
-    then bisects; a poor estimate costs counts, never correctness.
+    The search gallops outward from the finite estimate with doubling steps
+    and then bisects; a poor estimate costs counts, never correctness.
     """
 
-    scaled = _scaled_adjacency(masks, n)
-
     def above(j: int) -> bool:
-        return _count_above(scaled, 2 * j + 1) > 0
+        return _count_above(minors, 2 * j + 1) > 0
 
     seed = round(estimate * (1 << _GRID_BITS))
     step = 1
@@ -271,36 +298,36 @@ def _bracket_radius(masks: Sequence[int], n: int, estimate: float) -> float:
     return hi / (1 << _GRID_BITS)
 
 
-def _check_oracle_size(n: int) -> None:
-    if n > ORACLE_MAX_N:
-        raise ValueError(f"oracle capped at n <= {ORACLE_MAX_N}, got {n}")
-
-
 def spectral_oracle(g: Graph, estimate: float | None = None) -> float:
     """Adjacency spectral radius certified by exact inertia counts.
 
     The radius is bracketed between adjacent points of the grid
     x(j) = (2j + 1) / 2^41 by counting, exactly in integers, the
-    eigenvalues above each point (Bareiss leading minors, see
+    eigenvalues above each point (leading principal minors, see
     _count_above); the bracket's midpoint is returned, within 2^-41
     (about 4.5e-13) of the true radius.  No grid point is an integer, so
     no leading minor can vanish.  The estimate, a float rho already
-    computed or else one eigensolve, only seeds the search; the result does
-    not depend on it.  A disconnected graph or a repeated top eigenvalue
-    needs no special case.
+    computed, only seeds the search; the result does not depend on it.
+    Without one, or with a NaN or infinite one, one eigensolve seeds it.
+    A disconnected graph or a repeated top eigenvalue needs no special case.
     """
-    _check_oracle_size(g.n)
-    if estimate is None:
-        # Ungated: a residual the eigensolve would reject still seeds the search.
-        estimate = float(np.linalg.eigvalsh(_adjacency_matrix(g))[-1])
-    return _bracket_radius(g.neighbor_masks, g.n, estimate)
+    seed = math.nan if estimate is None else estimate
+    return float(_oracle_column(_adjacency_stack([g]), np.array([seed], dtype=float))[0])
 
 
 def _oracle_column(stack: np.ndarray, estimates: np.ndarray) -> np.ndarray:
     """spectral_oracle of each matrix of a (B, n, n) 0/1 adjacency stack,
-    seeded by the matching estimate."""
+    seeded by the matching estimate, from one _leading_minors of the stack.
+
+    A NaN or infinite estimate is replaced by that matrix's top eigenvalue,
+    ungated: a residual the eigensolve would reject still seeds the search.
+    """
     n = stack.shape[1]
-    _check_oracle_size(n)
-    masks = (stack.astype(np.int64) << np.arange(n)).sum(axis=2)
-    return np.array([_bracket_radius(row, n, estimate)
-                     for row, estimate in zip(masks.tolist(), estimates.tolist())])
+    if n > ORACLE_MAX_N:
+        raise ValueError(f"oracle capped at n <= {ORACLE_MAX_N}, got {n}")
+    unseeded = ~np.isfinite(estimates)
+    if unseeded.any():
+        estimates = estimates.copy()
+        estimates[unseeded] = np.linalg.eigvalsh(stack[unseeded].astype(float))[:, -1]
+    return np.array([_bracket_radius(minors, estimate) for minors, estimate
+                     in zip(_leading_minors(stack), estimates.tolist())])

@@ -267,9 +267,9 @@ def test_verify_jobs_capped_at_cpu_count(cpus, started, tmp_path, monkeypatch, c
     assert requested == started
     assert files[0].read_bytes() == files[1].read_bytes()
     if started:
-        # One message per run: all the classes with one n, n <= 5, as
-        # (n, bit rows); each worker keeps the connected ones.
-        assert chunksizes == [1]
+        # 16 runs per message; a run holds all the classes with one n,
+        # n <= 5, as (n, bit rows); each worker keeps the connected ones.
+        assert chunksizes == [16]
         assert [(n, len(bits)) for n, bits in messages] == list(
             enumerate([1, 2, 4, 11, 34], 1))
 

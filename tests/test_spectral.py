@@ -4,6 +4,7 @@ inertia-count oracle."""
 import math
 import random
 from dataclasses import fields
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from specirr import (
     degree_stats,
     enumerate_graphs,
     from_edges,
+    parse_graph6,
     path,
     prism,
     signless_laplacian_radius,
@@ -30,10 +32,12 @@ from specirr.bounds import build_contexts
 from specirr.harness import build_context, verify_graphs
 from specirr.spectral import (
     CHUNK,
-    _adjacency_matrix,
+    ORACLE_MAX_N,
+    _adjacency_stack,
     _bracket_radius,
     _count_above,
-    _scaled_adjacency,
+    _leading_minors,
+    _leading_polynomials,
     spectral_runs,
 )
 
@@ -47,6 +51,14 @@ GOLDEN_TOL = 1e-10
 def _random_graph(rng, n, p=0.4):
     edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
     return from_edges(n, edges)
+
+
+def _adjacency_matrix(g):
+    return _adjacency_stack([g])[0].astype(float)
+
+
+def _minors(g):
+    return _leading_minors(_adjacency_stack([g]))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -291,13 +303,13 @@ def test_count_above_matches_eigensolve():
     one = 1 << 41
     for g in graphs:
         values = np.linalg.eigvalsh(_adjacency_matrix(g))
-        scaled = _scaled_adjacency(g.neighbor_masks, g.n)
+        minors = _minors(g)
         points = [i * one + d for i in range(-g.n, g.n + 1) for d in (-1, 1)]
         points += [i * one + one // 2 + 1 for i in range(-g.n, g.n)]
         points += [2 * rng.randrange(-g.n * one, g.n * one) + 1 for _ in range(4)]
         for num in points:
             expected = int(np.sum(values > num / one))
-            assert _count_above(scaled, num) == expected, (g, num)
+            assert _count_above(minors, num) == expected, (g, num)
 
 
 def test_oracle_search_recovers_from_wrong_seeds():
@@ -310,10 +322,67 @@ def test_oracle_search_recovers_from_wrong_seeds():
     for g in graphs:
         rho = float(np.linalg.eigvalsh(_adjacency_matrix(g))[-1])
         oracle = spectral_oracle(g)
+        minors = _minors(g)
         for estimate in (rho + 1e-6, rho - 0.7, 0.0, 50.0, -3.0):
-            found = _bracket_radius(g.neighbor_masks, g.n, estimate)
+            found = _bracket_radius(minors, estimate)
             assert found == oracle
             assert abs(found - rho) <= 1e-12
+
+
+def test_oracle_non_finite_estimate_seeds_as_none():
+    # The estimate only seeds the search: NaN and +-inf seed as no estimate.
+    for g in (parse_graph6("D?{"), complete(4), path(3), subdivided_prism(3)):
+        oracle = spectral_oracle(g)
+        for estimate in (math.nan, math.inf, -math.inf):
+            assert spectral_oracle(g, estimate) == oracle, (g, estimate)
+
+
+def _fraction_det(rows):
+    """Exact determinant by Gaussian elimination over Fractions."""
+    rows = [[Fraction(a) for a in row] for row in rows]
+    det = Fraction(1)
+    for k in range(len(rows)):
+        pivot = next((i for i in range(k, len(rows)) if rows[i][k] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != k:
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            det = -det
+        det *= rows[k][k]
+        for i in range(k + 1, len(rows)):
+            factor = rows[i][k] / rows[k][k]
+            rows[i] = [a - factor * b for a, b in zip(rows[i], rows[k])]
+    return det
+
+
+def test_leading_polynomials_exact_up_to_oracle_cap():
+    # At n = 10..ORACLE_MAX_N the int64 recursion must still give every
+    # p_k(t) = det(tI - A_k) exactly: checked against Fraction determinants
+    # of each leading submatrix at integer and half-integer points, among
+    # them eigenvalues of K12 (-1, 11) and of K12 minus a perfect matching
+    # (-2, 0, 10).
+    rng = random.Random(61)
+    n = ORACLE_MAX_N
+    k12 = complete(n)
+    matching = from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                              if not (i % 2 == 0 and j == i + 1)])
+    graphs = [k12, matching] + [_random_graph(rng, size, 0.85) for size in (10, 11, 12, 12)]
+    points = [Fraction(i, 2) for i in range(-5, 6)] + [Fraction(10), Fraction(21, 2), Fraction(11)]
+    for g in graphs:
+        stack = _adjacency_stack([g])
+        adj, coeffs = stack[0].tolist(), _leading_polynomials(stack)[0].tolist()
+        for k in range(1, g.n + 1):
+            for t in points:
+                value = sum(e * t ** (k - i) for i, e in enumerate(coeffs[k][:k + 1]))
+                matrix = [[(t if i == j else 0) - adj[i][j] for j in range(k)] for i in range(k)]
+                assert value == _fraction_det(matrix), (g, k, t)
+
+
+def test_count_above_raises_on_a_vanishing_minor():
+    # x = 2 is an eigenvalue of K3 and a point off the odd grid: the third
+    # leading minor is 0, which the count must refuse rather than skip.
+    with pytest.raises(AssertionError, match="vanished"):
+        _count_above(_minors(complete(3)), 2 << 41)
 
 
 # ---------------------------------------------------------------------------
