@@ -19,12 +19,13 @@ inapplicable.  bound_report is build_context under a second name.  The
 raw formula functions trust their stated preconditions.
 
 bound_columns is the same evaluation for a whole run at once, the path of
-verify: from a (B, n, n) adjacency stack it computes each quantity as one
-int64, boolean or float column, with the scalar formulas' order of
-operations, so every value equals build_context's bit for bit; a gated
-bound is NaN where build_context has None.  compute keeps build_context:
-its graphs arrive one at a time, and on a run of one the columns cost
-more than the scalar path (2x per graph at n = 7, 1.3x over n = 5..40).
+verify, search and compute: from a (B, n, n) adjacency stack it computes
+each quantity as one int64, boolean or float column, with the scalar
+formulas' order of operations, so every value equals build_context's bit
+for bit; a gated bound is NaN where build_context has None.  compute
+groups its whole input by n before it cuts runs, so an unsorted input
+pays for at most one short run per n.  build_context stays the public
+per-graph API.
 """
 
 from __future__ import annotations
@@ -461,7 +462,8 @@ def bound_columns(
     eigensolve (rho, q1) and one pass of array arithmetic per quantity.
 
     Connectivity is tested once; with connected_only the disconnected
-    rows are dropped before anything else is computed.  The gates are
+    rows are dropped before anything else is computed, and the row of a
+    SpectralConvergenceError counts the kept rows.  The gates are
     _applicability's, as masks.
     """
     connected = _connected_rows(stack)

@@ -3,7 +3,8 @@
 Output is byte-deterministic for fixed inputs and flags: no timestamps,
 stable column order, and identical values in the CSV and JSON emissions of
 the same run.  Exit codes: 0 success (and no violations), 1 violations
-found, 2 usage or input error, 3 spectral residual above --tol.
+found, 2 usage or input error, 3 a spectral residual above its bound
+(compute's --tol; DEFAULT_TOL for verify and search).
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from contextlib import contextmanager
@@ -22,17 +24,25 @@ from .graphs import (
     GRAPH6_MAX_N,
     _GRAPH6_HEADER,
     Graph,
+    _bits_stack,
+    _graph6_bits,
+    _graph6_size,
     complete,
     cycle,
-    parse_graph6,
     path,
     prism,
     star,
     subdivided_prism,
     to_graph6,
 )
-from .spectral import DEFAULT_TOL, SpectralConvergenceError, check_tolerance
-from .bounds import build_context
+from .spectral import (
+    CHUNK,
+    DEFAULT_TOL,
+    SpectralConvergenceError,
+    _adjacency_stack,
+    check_tolerance,
+)
+from .bounds import BoundColumns, bound_columns
 from .harness import (
     CHECK_GROUPS,
     DEFAULT_CHECK_TOL,
@@ -74,22 +84,20 @@ GENERATORS = {
 # Row assembly and emission
 # ---------------------------------------------------------------------------
 
+def _report_rows(columns: BoundColumns, graph6s: Sequence[str]) -> list[dict]:
+    """One row per graph of a run, from its columns and its canonical graph6
+    texts: integers, decimals, every bound, and None for a gated bound."""
+    values = [graph6s, [columns.n] * len(columns)] + [
+        # Every column past n is a BoundColumns field; NaN marks a gated bound.
+        [None if v != v else v for v in getattr(columns, col).tolist()]
+        for col in REPORT_COLUMNS[2:]
+    ]
+    return [dict(zip(REPORT_COLUMNS, row)) for row in zip(*values)]
+
+
 def report_row(g: Graph, graph6: str, tol: float = DEFAULT_TOL) -> dict:
-    """One row for g, parsed from canonical graph6 text: integers, decimals, every bound."""
-    ctx = build_context(g, tol)
-    s = ctx.stats
-    return {
-        "graph6": graph6,
-        "n": s.n,
-        "m": s.m,
-        "max_degree": s.max_degree,
-        "min_degree": s.min_degree,
-        "avg_degree": s.avg_degree_float,
-        "variance": s.variance_float,
-        # rho .. var_ub are BoundReport fields.  Copy the values, not the
-        # record: its graph and stats would stay alive with every buffered row.
-        **{col: getattr(ctx, col) for col in REPORT_COLUMNS[7:]},
-    }
+    """One row for g, parsed from canonical graph6 text: _report_rows of a run of one."""
+    return _report_rows(bound_columns(_adjacency_stack([g]), tol), [graph6])[0]
 
 
 def _round_value(value, precision: str):
@@ -155,7 +163,14 @@ def _graph6_lines(source: str | None, inline: list[str]) -> Iterator[Iterable[st
 
 
 def cmd_compute(args) -> int:
-    rows = []
+    # Two passes.  The first reads and validates every line in input order.
+    # The second evaluates the good lines grouped by n, CHUNK at a time, and
+    # puts each row back at its input position.  Errors are reported as if
+    # the lines had been evaluated as read: a residual failure wins over every
+    # later line's message, and an input error stops the reading.
+    graph6s, linenos, runs = [], [], {}  # runs: n -> input positions with that n
+    skipped = []  # (line number, message) of malformed lines, without --strict
+    stop = None  # the message of the error that ended the input
     try:
         with _graph6_lines(args.input, args.inline) as lines:
             for lineno, text in enumerate(lines, 1):
@@ -163,15 +178,40 @@ def cmd_compute(args) -> int:
                 if not graph6:
                     continue
                 try:
-                    g = parse_graph6(text)
+                    n = _graph6_size(graph6)
                 except ValueError as exc:
-                    print(f"line {lineno}: {exc}", file=sys.stderr)
                     if args.strict:
-                        return EXIT_USAGE
+                        stop = f"line {lineno}: {exc}"
+                        break
+                    skipped.append((lineno, f"line {lineno}: {exc}"))
                     continue
-                rows.append(report_row(g, graph6, args.tol))
+                runs.setdefault(n, []).append(len(graph6s))
+                graph6s.append(graph6)
+                linenos.append(lineno)
     except ValueError as exc:  # no input, or a byte that is not ASCII
-        print(f"error: {exc}", file=sys.stderr)
+        stop = f"error: {exc}"
+    rows = [None] * len(graph6s)
+    failure = None  # (input position, error) of the earliest residual failure
+    for n, positions in runs.items():
+        for start in range(0, len(positions), CHUNK):
+            run = positions[start:start + CHUNK]
+            texts = [graph6s[k] for k in run]
+            try:
+                columns = bound_columns(_bits_stack(n, _graph6_bits(n, texts)), args.tol)
+            except SpectralConvergenceError as exc:
+                if failure is None or run[exc.row] < failure[0]:
+                    failure = (run[exc.row], exc)
+                continue
+            for k, row in zip(run, _report_rows(columns, texts)):
+                rows[k] = row
+    last = math.inf if failure is None else linenos[failure[0]]
+    for lineno, message in skipped:
+        if lineno < last:
+            print(message, file=sys.stderr)
+    if failure is not None:
+        raise failure[1]
+    if stop is not None:
+        print(stop, file=sys.stderr)
         return EXIT_USAGE
     # Rows are written only after the whole input is read: any error leaves stdout empty.
     _write_output(rows, REPORT_COLUMNS, args.format, args.precision, args.out)

@@ -6,9 +6,10 @@ graph6 text I/O, degree statistics in exact rational arithmetic,
 near-regularity classification, the standard generator families, canonical
 forms under isomorphism, and exhaustive enumeration of isomorphism classes
 up to ENUMERATION_CAP vertices, kept on disk under pinned SHA-256 digests.
-For evaluation in bulk, a stored level is also decoded once into an array
-of upper-triangle bits (_class_bits), from which stacks of adjacency
-matrices are cut without building a Graph.
+For evaluation in bulk, graph6 texts with one n are decoded together
+into an array of upper-triangle bits (_graph6_bits): a stored level once
+(_class_bits), compute's input a run at a time.  Stacks of adjacency
+matrices are cut from those bits without building a Graph.
 """
 
 from __future__ import annotations
@@ -151,41 +152,57 @@ def to_graph6(g: Graph) -> str:
     return _graph6(g.n, bits)
 
 
-def parse_graph6(text: str) -> Graph:
-    """Decode a one-line graph6 string (optional '>>graph6<<' prefix tolerated)."""
-    line = text.strip()
-    if line.startswith(_GRAPH6_HEADER):
-        line = line[len(_GRAPH6_HEADER):]
+def _graph6_size(line: str) -> int:
+    """Vertex count of a graph6 string already stripped of whitespace and
+    of the '>>graph6<<' prefix; ValueError naming its first defect if it
+    is malformed."""
     if not line:
         raise ValueError("empty graph6 string")
-    if any(not 63 <= ord(c) <= 126 for c in line):
+    if min(line) < "?" or max(line) > "~":
         raise ValueError(f"graph6 string contains bytes outside ASCII 63..126: {line!r}")
     if line[0] == "~":
         raise ValueError("multi-byte graph6 size headers (n >= 63) are not supported")
     n = ord(line[0]) - 63
     if n == 0:
         raise ValueError("graph6 string encodes an empty vertex set")
-    need = (n * (n - 1) // 2 + 5) // 6
-    body = line[1:]
-    if len(body) < need:
-        raise ValueError(f"truncated graph6 bit vector: got {len(body)} bytes, need {need}")
-    if len(body) > need:
-        raise ValueError(f"trailing bytes after graph6 bit vector: {body[need:]!r}")
-    bits = 0
-    for c in body:
-        bits = (bits << 6) | (ord(c) - 63)
-    nbits = 6 * need
     total = n * (n - 1) // 2
-    if total and bits & ((1 << (nbits - total)) - 1):
+    need = (total + 5) // 6
+    if len(line) - 1 < need:
+        raise ValueError(f"truncated graph6 bit vector: got {len(line) - 1} bytes, need {need}")
+    if len(line) - 1 > need:
+        raise ValueError(f"trailing bytes after graph6 bit vector: {line[1 + need:]!r}")
+    # The padding bits are the low 6 need - total bits of the last byte.
+    if total and (ord(line[-1]) - 63) & ((1 << (6 * need - total)) - 1):
         raise ValueError("nonzero padding bits in graph6 string")
+    return n
+
+
+def parse_graph6(text: str) -> Graph:
+    """Decode a one-line graph6 string (optional '>>graph6<<' prefix tolerated)."""
+    line = text.strip().removeprefix(_GRAPH6_HEADER)
+    n = _graph6_size(line)
+    bits = 0
+    for c in line[1:]:
+        bits = (bits << 6) | (ord(c) - 63)
     edges = []
-    pos = nbits - 1
+    pos = 6 * (len(line) - 1) - 1
     for j in range(1, n):
         for i in range(j):
             if (bits >> pos) & 1:
                 edges.append((i, j))
             pos -= 1
     return Graph(n, frozenset(edges))
+
+
+def _graph6_bits(n: int, lines: Sequence[str]) -> np.ndarray:
+    """(len(lines), n(n-1)/2) uint8 upper-triangle bits of valid graph6
+    strings on n vertices (see _graph6_size), in graph6 order: x(0,1),
+    x(0,2), x(1,2), x(0,3), ...  Each byte less 63 carries six of them,
+    most significant first; one unpackbits decodes every line."""
+    text = np.frombuffer("".join(lines).encode("ascii"), dtype=np.uint8)
+    body = text.reshape(len(lines), -1)[:, 1:, None] - 63
+    bits = np.unpackbits(body, axis=2)[:, :, 2:]
+    return bits.reshape(len(lines), -1)[:, :n * (n - 1) // 2]
 
 
 # ---------------------------------------------------------------------------
@@ -767,20 +784,13 @@ def _augment_classes(n: int) -> tuple[str, ...]:
 @functools.lru_cache(maxsize=None)
 def _class_bits(n: int) -> np.ndarray:
     """The classes of _class_forms(n) as a (classes, n(n-1)/2) uint8 array:
-    row k holds the upper-triangle bits of class k in graph6 order, x(0,1),
-    x(0,2), x(1,2), x(0,3), ...  Each graph6 byte less 63 carries six of
-    them, most significant first."""
-    forms = _class_forms(n)
-    text = np.frombuffer("".join(forms).encode("ascii"), dtype=np.uint8)
-    body = text.reshape(len(forms), -1) - 63
-    bits = np.empty((len(forms), n * (n - 1) // 2), dtype=np.uint8)
-    for k in range(bits.shape[1]):
-        bits[:, k] = body[:, 1 + k // 6] >> (5 - k % 6) & 1
-    return bits
+    row k holds the upper-triangle bits of class k (_graph6_bits)."""
+    return _graph6_bits(n, _class_forms(n))
 
 
 def _bits_stack(n: int, bits: np.ndarray) -> np.ndarray:
-    """(len(bits), n, n) uint8 adjacency matrices of rows of _class_bits(n)."""
+    """(len(bits), n, n) uint8 adjacency matrices of rows of upper-triangle
+    bits in graph6 order (_graph6_bits, _class_bits)."""
     j, i = np.tril_indices(n, -1)  # graph6 order: by column j, then row i < j
     stack = np.zeros((len(bits), n, n), dtype=np.uint8)
     stack[:, i, j] = bits

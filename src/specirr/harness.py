@@ -13,10 +13,8 @@ Both work a run at a time: up to CHUNK graphs with the same n, as one
 classes' bit rows (graphs._class_bits), so no Graph is built there.  A
 check maps a run's BoundColumns to a list of claim columns, and a
 ViolationReport, with the Graph, graph6 and canonical form it names, is
-built only for a row where a claim fails.  compute keeps the per-graph
-BoundReport (bounds.build_context): its input arrives one graph at a
-time, in runs of one, where array arithmetic costs more than the scalar
-formulas.
+built only for a row where a claim fails.  compute evaluates the same
+BoundColumns, from runs of its input lines grouped by n.
 """
 
 from __future__ import annotations

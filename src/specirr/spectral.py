@@ -8,19 +8,19 @@ A + D gives the signless-Laplacian radius.  A disconnected graph needs no
 special handling, since the spectrum of its block-diagonal matrix is the
 union of the components' spectra.
 
-Graphs are evaluated in runs.  A run is a maximal stretch of consecutive
-input graphs with the same vertex count, cut at CHUNK graphs; a single
-graph is a run of one.  Each run gets one np.linalg.eigh on its (B, n, n)
-adjacency stack, one vectorised residual gate over every row (a failure
-raises for the first failing graph in input order), and, only when q1 is
+Graphs are evaluated in runs.  A run is up to CHUNK graphs with the same
+vertex count; a single graph is a run of one.  Each run gets one
+np.linalg.eigh on its (B, n, n) adjacency stack, one vectorised residual
+gate over every row (a failure raises SpectralConvergenceError for the
+first failing row, and carries that row's index), and, only when q1 is
 wanted, one eigvalsh on the stack of A + D.  LAPACK solves each matrix of
 a stack as it would solve it alone, so no value depends on how the input
 was cut into runs.  CHUNK bounds a run's arrays.  verify and search take
 their runs straight from the stored classes, CHUNK consecutive rows of
-one level at a time (split_rows), and hand the stack to _solve_stack,
-which returns columns; spectral_runs cuts runs from Graph input
-(split_runs) and returns one SpectralResult per graph.  compute evaluates
-each graph alone, a run of one.
+one level at a time (split_rows); compute groups its input lines by n and
+cuts each group into runs of CHUNK.  Both hand the stack to _solve_stack,
+which returns columns.  spectral_runs cuts runs of consecutive same-n
+Graphs (split_runs) and returns one SpectralResult per graph.
 
 The oracle path certifies rho exactly: by Sylvester's law of inertia, the
 number of eigenvalues of A above a rational x = p/q is the number of sign
@@ -54,7 +54,14 @@ CHUNK = 64  # the most graphs one stacked eigensolve takes
 
 
 class SpectralConvergenceError(RuntimeError):
-    """The eigensolve's residual exceeds the requested tolerance."""
+    """The eigensolve's residual exceeds the requested tolerance.
+
+    row is the index, in the solved stack, of the graph it names.
+    """
+
+    def __init__(self, message: str, row: int = 0) -> None:
+        super().__init__(message)
+        self.row = row
 
 
 @dataclass(frozen=True)
@@ -123,8 +130,9 @@ def _solve_stack(
     signless-Laplacian radius when with_q1 is set (None otherwise).
 
     For a symmetric matrix the residual ||Ax - rho x|| of a unit vector x
-    bounds the distance from rho to the nearest eigenvalue.  The stack is
-    not modified.
+    bounds the distance from rho to the nearest eigenvalue.  A residual
+    above tol * max(1, rho) raises SpectralConvergenceError for the first
+    such row, with row set to its index.  The stack is not modified.
     """
     adj = stack.astype(float)
     values, vectors = np.linalg.eigh(adj)
@@ -137,7 +145,8 @@ def _solve_stack(
         i = failed[0]
         raise SpectralConvergenceError(
             f"spectral residual {residual[i]:.3e} above tolerance {tol:.3e} "
-            f"(relative to rho = {rho[i]:.6g})"
+            f"(relative to rho = {rho[i]:.6g})",
+            row=int(i),
         )
     q1 = None
     if with_q1:

@@ -12,8 +12,17 @@ from pathlib import Path
 import pytest
 
 import specirr
-from specirr import from_edges, graphs, parse_graph6, spectral, subdivided_prism, to_graph6
-from specirr.cli import REPORT_COLUMNS, main
+from specirr import (
+    enumerate_graphs,
+    from_edges,
+    graphs,
+    parse_graph6,
+    spectral,
+    subdivided_prism,
+    to_graph6,
+)
+from specirr.bounds import build_context
+from specirr.cli import REPORT_COLUMNS, _emit, main, report_row
 
 WITNESS_G6 = to_graph6(subdivided_prism(3))
 
@@ -150,6 +159,61 @@ def test_compute_full_precision(capsys):
     # full precision must carry more than 6 significant digits
     assert row["rho"] == pytest.approx(2.90417049869408, abs=1e-10)
     assert row["rho"] != float(f"{row['rho']:.6g}")
+
+
+def _context_row(text):
+    """The compute row of one graph6 text from its per-graph BoundReport."""
+    ctx = build_context(parse_graph6(text))
+    s = ctx.stats
+    return {"graph6": text, "n": s.n, "m": s.m, "max_degree": s.max_degree,
+            "min_degree": s.min_degree, "avg_degree": s.avg_degree_float,
+            "variance": s.variance_float, **{col: getattr(ctx, col) for col in REPORT_COLUMNS[7:]}}
+
+
+def _emitted(rows, fmt, precision):
+    out = io.StringIO()
+    _emit(rows, REPORT_COLUMNS, fmt, precision, out)
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_compute_grouping_by_n_cannot_change_output(fmt, tmp_path, capsys):
+    # compute evaluates its input grouped by n, CHUNK graphs at a time; n = 7
+    # alone spans 17 chunks.  Every class n <= 7, shuffled, must print the
+    # rows of a per-graph evaluation, and a permuted input the same rows
+    # permuted the same way.
+    texts = [to_graph6(g) for n in range(1, 8) for g in enumerate_graphs(n)]
+    assert len(texts) == 1252
+    random.Random(18).shuffle(texts)
+    expected = [_context_row(text) for text in texts]
+    outputs = []
+    for order in (range(len(texts)), random.Random(81).sample(range(len(texts)), len(texts))):
+        src = tmp_path / "classes.g6"
+        src.write_text("".join(texts[k] + "\n" for k in order))
+        code, out, err = run_cli(["compute", str(src), "--format", fmt, "--precision", "full"],
+                                 capsys)
+        assert (code, err) == (0, "")
+        assert out == _emitted([expected[k] for k in order], fmt, "full")
+        outputs.append((order, out))
+    if fmt == "csv":
+        (_, first), (order, second) = outputs
+        header, *rows = first.splitlines()
+        assert second.splitlines() == [header] + [rows[k] for k in order]
+    # The one-graph row builder is the same evaluation.
+    for text in texts[:40]:
+        assert report_row(parse_graph6(text), text) == _context_row(text)
+
+
+@pytest.mark.parametrize("bad", ["", "D?!", "~??~?????", "?", "D?", "D?{{", "A`", "E??", "B"])
+def test_compute_reports_the_parse_graph6_error(bad, capsys):
+    # One validator: a skipped line names the error parse_graph6 raises.
+    with pytest.raises(ValueError) as raised:
+        parse_graph6(bad)
+    code, out, err = run_cli(["compute", "--inline", WITNESS_G6, "--inline", ">>graph6<<" + bad],
+                             capsys)
+    assert code == 0
+    assert err == ("" if bad == "" else f"line 2: {raised.value}\n")
+    assert len(parse_csv(out)[1]) == 1
 
 
 def test_compute_no_input_is_usage_error(capsys):
@@ -448,6 +512,36 @@ def test_non_convergence_before_a_malformed_line(strict, capsys):
     assert out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: spectral residual ")
+
+
+@pytest.mark.parametrize("lines", [
+    [WITNESS_G6, "D~{"],
+    # K5's n = 5 group comes first; the edgeless graph passes any bound.
+    ["D??", WITNESS_G6, "D~{"],
+], ids=["n7-then-n5", "n5-group-first"])
+def test_the_earliest_residual_failure_in_input_order_wins(lines, capsys):
+    _, _, alone = run_cli(["compute", "--inline", WITNESS_G6, "--tol", "1e-300"], capsys)
+    assert "relative to rho = 2.90417)" in alone
+    args = ["compute", "--tol", "1e-300"]
+    for text in lines:
+        args += ["--inline", text]
+    assert run_cli(args, capsys) == (3, "", alone)
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_malformed_line_before_a_non_convergence(strict, capsys):
+    # The malformed line comes first: --strict stops there with its message
+    # alone; without it, the line is skipped and the residual failure follows.
+    args = ["compute", "--inline", "!!!bad!!!", "--inline", WITNESS_G6, "--tol", "1e-300"]
+    code, out, err = run_cli(args + ["--strict"] * strict, capsys)
+    assert (code, out) == ((2, "") if strict else (3, ""))
+    lines = err.splitlines()
+    assert lines[0] == ("line 1: graph6 string contains bytes outside ASCII 63..126: "
+                        "'!!!bad!!!'")
+    if strict:
+        assert len(lines) == 1
+    else:
+        assert len(lines) == 2 and lines[1].startswith("error: spectral residual ")
 
 
 # ---------------------------------------------------------------------------

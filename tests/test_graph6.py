@@ -3,6 +3,7 @@
 import random
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from specirr import (
@@ -17,6 +18,7 @@ from specirr import (
     subdivided_prism,
     to_graph6,
 )
+from specirr.graphs import _bits_stack, _class_bits, _class_forms, _graph6_bits
 
 NAMED = [
     complete(2), complete(5), cycle(4), cycle(7), path(1), path(6),
@@ -117,3 +119,29 @@ def test_parse_rejects_nonzero_padding():
 def test_encode_rejects_oversized():
     with pytest.raises(ValueError, match="n <= 62"):
         to_graph6(from_edges(63, []))
+
+
+def _loop_bits(n, texts):
+    # The reference decoder: one pass per upper-triangle bit column.
+    body = np.frombuffer("".join(texts).encode("ascii"), dtype=np.uint8).reshape(len(texts), -1) - 63
+    bits = np.empty((len(texts), n * (n - 1) // 2), dtype=np.uint8)
+    for k in range(bits.shape[1]):
+        bits[:, k] = body[:, 1 + k // 6] >> (5 - k % 6) & 1
+    return bits
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_class_bits_match_the_column_loop(n):
+    assert np.array_equal(_class_bits(n), _loop_bits(n, _class_forms(n)))
+
+
+def test_vectorised_decoder_matches_parse_graph6():
+    rng = random.Random(62)
+    for n in range(1, 63):
+        texts = [to_graph6(from_edges(n, [(i, j) for j in range(n) for i in range(j)
+                                          if rng.random() < p])) for p in (0.1, 0.5, 0.9)]
+        bits = _graph6_bits(n, texts)
+        assert np.array_equal(bits, _loop_bits(n, texts))
+        for text, matrix in zip(texts, _bits_stack(n, bits)):
+            i, j = np.nonzero(np.triu(matrix))
+            assert set(zip(i.tolist(), j.tolist())) == parse_graph6(text).edges
