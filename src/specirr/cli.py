@@ -15,10 +15,9 @@ import json
 import math
 import os
 import sys
-from contextlib import contextmanager
 from dataclasses import asdict
 from functools import partial
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .graphs import (
     GRAPH6_MAX_N,
@@ -36,11 +35,11 @@ from .graphs import (
     to_graph6,
 )
 from .spectral import (
-    CHUNK,
     DEFAULT_TOL,
     SpectralConvergenceError,
     _adjacency_stack,
     check_tolerance,
+    split_rows,
 )
 from .bounds import BoundColumns, bound_columns
 from .harness import (
@@ -148,71 +147,74 @@ def _write_output(rows: list[dict], columns: Sequence[str], fmt: str,
 # compute
 # ---------------------------------------------------------------------------
 
-@contextmanager
-def _graph6_lines(source: str | None, inline: list[str]) -> Iterator[Iterable[str]]:
-    """Inline strings, or the lines of stdin ('-') or a file, read lazily by str.splitlines."""
-    if inline:
-        yield inline
-    elif source is None:
+def _graph6_lines(source: str | None) -> Iterator[str]:
+    """The lines of stdin ('-') or a file, both read alike: the bytes decoded
+    as ASCII and cut where str.splitlines cuts them.
+
+    A byte that is not ASCII ends the input: the lines before its own are
+    yielded, then the decode error, which names the byte's offset, is raised.
+    """
+    if source is None:
         raise ValueError("no input: pass a graph6 file, '-', or --inline")
-    elif source == "-":
-        yield (part for line in sys.stdin for part in line.splitlines())
+    if source == "-":
+        data = sys.stdin.buffer.read()
     else:
-        with open(source, "r", encoding="ascii") as fh:
-            yield (part for line in fh for part in line.splitlines())
+        with open(source, "rb") as fh:
+            data = fh.read()
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        # Up to the bad byte, shown as U+FFFD, which no line break follows:
+        # the last piece is the bad byte's own line, cut short, and is dropped.
+        yield from data[:exc.end].decode("ascii", "replace").splitlines()[:-1]
+        raise
+    yield from text.splitlines()
 
 
 def cmd_compute(args) -> int:
     # Two passes.  The first reads and validates every line in input order.
-    # The second evaluates the good lines grouped by n, CHUNK at a time, and
-    # puts each row back at its input position.  Errors are reported as if
-    # the lines had been evaluated as read: a residual failure wins over every
-    # later line's message, and an input error stops the reading.
-    graph6s, linenos, runs = [], [], {}  # runs: n -> input positions with that n
-    skipped = []  # (line number, message) of malformed lines, without --strict
-    stop = None  # the message of the error that ended the input
+    # The second evaluates the good lines grouped by n, one spectral run
+    # (split_rows) at a time, and puts each row back at its input position.
+    # Every error is one (line number, message, exit code or None) entry: a
+    # skipped line has no code, a --strict line 2, no input or a byte that
+    # is not ASCII 2 at line infinity (it ends the input), and a residual
+    # failure 3 on its graph's line.  The entries are printed in line order up
+    # to the first that carries a code, as if every line had been evaluated
+    # as it was read.
+    graph6s, linenos, groups = [], [], {}  # groups: n -> input positions with that n
+    errors = []
     try:
-        with _graph6_lines(args.input, args.inline) as lines:
-            for lineno, text in enumerate(lines, 1):
-                graph6 = text.strip().removeprefix(_GRAPH6_HEADER)
-                if not graph6:
-                    continue
-                try:
-                    n = _graph6_size(graph6)
-                except ValueError as exc:
-                    if args.strict:
-                        stop = f"line {lineno}: {exc}"
-                        break
-                    skipped.append((lineno, f"line {lineno}: {exc}"))
-                    continue
-                runs.setdefault(n, []).append(len(graph6s))
-                graph6s.append(graph6)
-                linenos.append(lineno)
-    except ValueError as exc:  # no input, or a byte that is not ASCII
-        stop = f"error: {exc}"
+        for lineno, text in enumerate(args.inline or _graph6_lines(args.input), 1):
+            graph6 = text.strip().removeprefix(_GRAPH6_HEADER)
+            if not graph6:
+                continue
+            try:
+                n = _graph6_size(graph6)
+            except ValueError as exc:
+                errors.append((lineno, f"line {lineno}: {exc}", EXIT_USAGE if args.strict else None))
+                if args.strict:
+                    break
+                continue
+            groups.setdefault(n, []).append(len(graph6s))
+            graph6s.append(graph6)
+            linenos.append(lineno)
+    except ValueError as exc:
+        errors.append((math.inf, f"error: {exc}", EXIT_USAGE))
     rows = [None] * len(graph6s)
-    failure = None  # (input position, error) of the earliest residual failure
-    for n, positions in runs.items():
-        for start in range(0, len(positions), CHUNK):
-            run = positions[start:start + CHUNK]
+    for n, positions in groups.items():
+        for run in split_rows(positions):
             texts = [graph6s[k] for k in run]
             try:
                 columns = bound_columns(_bits_stack(n, _graph6_bits(n, texts)), args.tol)
             except SpectralConvergenceError as exc:
-                if failure is None or run[exc.row] < failure[0]:
-                    failure = (run[exc.row], exc)
+                errors.append((linenos[run[exc.row]], f"error: {exc}", EXIT_NON_CONVERGENCE))
                 continue
             for k, row in zip(run, _report_rows(columns, texts)):
                 rows[k] = row
-    last = math.inf if failure is None else linenos[failure[0]]
-    for lineno, message in skipped:
-        if lineno < last:
-            print(message, file=sys.stderr)
-    if failure is not None:
-        raise failure[1]
-    if stop is not None:
-        print(stop, file=sys.stderr)
-        return EXIT_USAGE
+    for _, message, code in sorted(errors, key=lambda error: error[0]):
+        print(message, file=sys.stderr)
+        if code is not None:
+            return code
     # Rows are written only after the whole input is read: any error leaves stdout empty.
     _write_output(rows, REPORT_COLUMNS, args.format, args.precision, args.out)
     return EXIT_OK
@@ -245,7 +247,7 @@ def cmd_verify(args) -> int:
     if jobs > 1:
         from multiprocessing import Pool  # only here: other commands never load it
 
-        # Workers are fed from the same stream, 16 runs of up to CHUNK
+        # Workers are fed from the same stream, 16 runs (corpus_runs) of
         # same-n classes per message, each evaluated as one batch.  A
         # message costs this process about 0.85 ms, a third of a worker's
         # time on a run at n = 9, so one message per run ate most of what a

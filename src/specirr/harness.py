@@ -36,7 +36,6 @@ from .graphs import (
     _class_forms,
     _connected_rows,
     canonical_form,
-    enumerate_graphs,
     parse_graph6,
     to_graph6,
 )
@@ -355,23 +354,12 @@ def verify_graphs(
             for v in _violations(bound_columns(_adjacency_stack(run)), tol, registry)]
 
 
-def enumerate_corpus(n_max: int, connected_only: bool = True) -> Iterator[Graph]:
-    """Every class with n <= n_max in enumeration order; n_max is checked on the call."""
-    _check_corpus_cap(n_max)
-    return (g for n in range(1, n_max + 1)
-            for g in enumerate_graphs(n, connected_only=connected_only))
-
-
-def _check_corpus_cap(n_max: int) -> None:
-    if not 1 <= n_max <= ENUMERATION_CAP:
-        raise ValueError(f"corpus cap is 1 <= n_max <= {ENUMERATION_CAP}, got {n_max}")
-
-
 def corpus_runs(n_max: int) -> Iterator[tuple[int, np.ndarray]]:
     """Every class with n <= n_max, in enumeration order, as (n, bits) runs:
     up to CHUNK consecutive rows of graphs._class_bits(n).  n_max is
     checked on the call."""
-    _check_corpus_cap(n_max)
+    if not 1 <= n_max <= ENUMERATION_CAP:
+        raise ValueError(f"corpus cap is 1 <= n_max <= {ENUMERATION_CAP}, got {n_max}")
     return ((n, bits) for n in range(1, n_max + 1) for bits in split_rows(_class_bits(n)))
 
 

@@ -15,12 +15,12 @@ gate over every row (a failure raises SpectralConvergenceError for the
 first failing row, and carries that row's index), and, only when q1 is
 wanted, one eigvalsh on the stack of A + D.  LAPACK solves each matrix of
 a stack as it would solve it alone, so no value depends on how the input
-was cut into runs.  CHUNK bounds a run's arrays.  verify and search take
-their runs straight from the stored classes, CHUNK consecutive rows of
-one level at a time (split_rows); compute groups its input lines by n and
-cuts each group into runs of CHUNK.  Both hand the stack to _solve_stack,
-which returns columns.  spectral_runs cuts runs of consecutive same-n
-Graphs (split_runs) and returns one SpectralResult per graph.
+was cut into runs.  CHUNK bounds a run's arrays, and runs are cut only
+here: split_rows cuts a sequence already known to share n (a level of the
+stored classes for verify and search, compute's input lines grouped by n),
+and split_runs cuts stretches of consecutive same-n Graphs.  verify,
+search and compute hand each run's stack to _solve_stack, which returns
+columns; spectral_runs returns one SpectralResult per graph.
 
 The oracle path certifies rho exactly: by Sylvester's law of inertia, the
 number of eigenvalues of A above a rational x = p/q is the number of sign
@@ -42,6 +42,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby, islice
+from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -96,17 +98,12 @@ def check_tolerance(tol: float) -> float:
 
 def split_runs(graphs: Iterable[Graph]) -> Iterator[list[Graph]]:
     """Maximal stretches of consecutive graphs with the same n, cut at CHUNK graphs."""
-    run: list[Graph] = []
-    for g in graphs:
-        if run and (g.n != run[0].n or len(run) == CHUNK):
+    for _, same_n in groupby(graphs, key=attrgetter("n")):
+        while run := list(islice(same_n, CHUNK)):
             yield run
-            run = []
-        run.append(g)
-    if run:
-        yield run
 
 
-def split_rows(rows: np.ndarray) -> Iterator[np.ndarray]:
+def split_rows(rows: Sequence) -> Iterator[Sequence]:
     """Consecutive slices of at most CHUNK rows: the runs of rows already
     known to share n."""
     return (rows[start:start + CHUNK] for start in range(0, len(rows), CHUNK))

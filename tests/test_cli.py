@@ -101,6 +101,23 @@ def test_compute_non_ascii_input_is_usage_error(tmp_path, capsys):
                    "ordinal not in range(128)\n")
 
 
+def test_compute_reads_stdin_as_it_reads_a_file(tmp_path):
+    # Both are decoded as ASCII, whatever the locale: a non-ASCII byte is the
+    # same usage error on either, with the same message.
+    data = b"D~{\nAB\xc3\xa9\nDhc\n"
+    src = tmp_path / "graphs.g6"
+    src.write_bytes(data)
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0"}
+    results = []
+    for source in (str(src), "-"):
+        cmd, root = _cli_command("compute", source)
+        done = subprocess.run(cmd, input=data, capture_output=True, cwd=root, env=env)
+        results.append((done.returncode, done.stdout, done.stderr))
+    assert results[0] == results[1] == (
+        2, b"", b"error: 'ascii' codec can't decode byte 0xc3 in position 6: "
+                b"ordinal not in range(128)\n")
+
+
 @pytest.mark.parametrize("source", ["file", "stdin"])
 def test_compute_lines_end_where_splitlines_ends_them(source, tmp_path, monkeypatch, capsys):
     # \x0b, \x0c and \x1c-\x1e end a line as \n does; line numbers count them.
@@ -108,7 +125,7 @@ def test_compute_lines_end_where_splitlines_ends_them(source, tmp_path, monkeypa
     src = tmp_path / "graphs.g6"
     src.write_bytes(text.encode("ascii"))
     if source == "stdin":
-        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(text.encode("ascii"))))
     code, out, err = run_cli(["compute", "-" if source == "stdin" else str(src)], capsys)
     assert code == 0
     assert [line.split(":")[0] for line in err.splitlines()] == ["line 2", "line 6"]
@@ -176,12 +193,14 @@ def _emitted(rows, fmt, precision):
     return out.getvalue()
 
 
+@pytest.mark.parametrize("chunk", [1, 5, 64])
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_compute_grouping_by_n_cannot_change_output(fmt, tmp_path, capsys):
-    # compute evaluates its input grouped by n, CHUNK graphs at a time; n = 7
-    # alone spans 17 chunks.  Every class n <= 7, shuffled, must print the
-    # rows of a per-graph evaluation, and a permuted input the same rows
-    # permuted the same way.
+def test_compute_grouping_by_n_cannot_change_output(fmt, chunk, tmp_path, monkeypatch, capsys):
+    # compute evaluates its input grouped by n, spectral.CHUNK graphs at a
+    # time; at the default 64, n = 7 alone spans 17 runs.  Every class n <= 7,
+    # shuffled, must print the rows of a per-graph evaluation, and a permuted
+    # input the same rows permuted the same way, however the groups are cut.
+    monkeypatch.setattr(spectral, "CHUNK", chunk)
     texts = [to_graph6(g) for n in range(1, 8) for g in enumerate_graphs(n)]
     assert len(texts) == 1252
     random.Random(18).shuffle(texts)
@@ -542,6 +561,41 @@ def test_malformed_line_before_a_non_convergence(strict, capsys):
         assert len(lines) == 1
     else:
         assert len(lines) == 2 and lines[1].startswith("error: spectral residual ")
+
+
+def _compute_bytes(data, source, args, tmp_path, monkeypatch, capsys):
+    """run_cli of compute on data, given as a file or on stdin."""
+    if source == "stdin":
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+        return run_cli(["compute", "-", *args], capsys)
+    src = tmp_path / "graphs.g6"
+    src.write_bytes(data)
+    return run_cli(["compute", str(src), *args], capsys)
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_non_convergence_before_a_non_ascii_byte(source, tmp_path, monkeypatch, capsys):
+    # The bytes before the bad one are read: the residual failure on line 1
+    # comes first, and is the only message.
+    data = WITNESS_G6.encode("ascii") + b"\nD~{\nAB\xc3\xa9\n"
+    code, out, err = _compute_bytes(data, source, ["--tol", "1e-300"], tmp_path, monkeypatch,
+                                    capsys)
+    assert (code, out) == (3, "")
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: spectral residual ")
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_malformed_line_before_a_non_ascii_byte(source, tmp_path, monkeypatch, capsys):
+    # The malformed line 2 is skipped and reported; the bad byte then ends the
+    # input, named by its offset in the input.
+    data = b"D~{\n!!!bad!!!\nAB\xc3\xa9\nDhc\n"
+    code, out, err = _compute_bytes(data, source, [], tmp_path, monkeypatch, capsys)
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [
+        "line 2: graph6 string contains bytes outside ASCII 63..126: '!!!bad!!!'",
+        "error: 'ascii' codec can't decode byte 0xc3 in position 16: ordinal not in range(128)",
+    ]
 
 
 # ---------------------------------------------------------------------------

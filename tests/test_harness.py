@@ -247,7 +247,7 @@ def test_cap_is_checked_before_any_enumeration(call, monkeypatch):
     # The whole request is checked first: no n is enumerated before
     # n = 10 is refused.
     calls = []
-    for name in ("enumerate_graphs", "_class_forms", "_class_bits"):  # each way to the classes
+    for name in ("_class_forms", "_class_bits"):  # each way to the classes
         monkeypatch.setattr(harness, name, lambda *args, **kwargs: calls.append(args) or iter(()))
     with pytest.raises(ValueError, match="cap"):
         call()

@@ -1,6 +1,7 @@
 """Spectral radius: the dense eigensolve, signless Laplacian, and the exact
 inertia-count oracle."""
 
+import itertools
 import math
 import random
 from dataclasses import fields
@@ -180,6 +181,13 @@ def test_runs_split_at_each_change_of_n_and_at_chunk(monkeypatch):
     shapes["eigh"].clear()
     assert len(list(build_contexts(graphs))) == 200
     assert shapes == {"eigh": runs, "eigvalsh": runs}
+
+
+def test_runs_are_cut_lazily():
+    # A run is solved when its first pair is asked for: an endless stretch
+    # of graphs with the same n must still give its first pair.
+    g, result = next(spectral_runs(itertools.repeat(cycle(5))))
+    assert g == cycle(5) and result.rho == pytest.approx(2.0)
 
 
 @pytest.mark.parametrize("connected_only", [True, False])
