@@ -148,31 +148,42 @@ def _write_output(rows: list[dict], columns: Sequence[str], fmt: str,
 # ---------------------------------------------------------------------------
 
 def _graph6_lines(source: str | None) -> Iterator[str]:
-    """The lines of stdin ('-') or a file, both read alike: the bytes decoded
-    as ASCII and cut where str.splitlines cuts them.
+    """The lines of stdin ('-') or a file, both read alike and lazily: the
+    bytes decoded as ASCII and cut where str.splitlines cuts them.
 
     A byte that is not ASCII ends the input: the lines before its own are
-    yielded, then the decode error, which names the byte's offset, is raised.
+    yielded, then a ValueError names the byte and its offset in the input.
     """
     if source is None:
         raise ValueError("no input: pass a graph6 file, '-', or --inline")
     if source == "-":
-        data = sys.stdin.buffer.read()
+        yield from _ascii_lines(sys.stdin.buffer)
     else:
         with open(source, "rb") as fh:
-            data = fh.read()
-    try:
-        text = data.decode("ascii")
-    except UnicodeDecodeError as exc:
-        # Up to the bad byte, shown as U+FFFD, which no line break follows:
-        # the last piece is the bad byte's own line, cut short, and is dropped.
-        yield from data[:exc.end].decode("ascii", "replace").splitlines()[:-1]
-        raise
-    yield from text.splitlines()
+            yield from _ascii_lines(fh)
+
+
+def _ascii_lines(fh) -> Iterator[str]:
+    # Binary lines end at b"\n", which ends a line for str.splitlines too
+    # (a "\r\n" pair never straddles two of them), so cutting each binary
+    # line cuts the input where splitlines cuts the whole of it.
+    offset = 0
+    for chunk in fh:
+        try:
+            text = chunk.decode("ascii")
+        except UnicodeDecodeError as exc:
+            # Up to the bad byte, shown as U+FFFD, which no line break follows:
+            # the last piece is the bad byte's own line, cut short, and is dropped.
+            yield from chunk[:exc.end].decode("ascii", "replace").splitlines()[:-1]
+            raise ValueError(f"'ascii' codec can't decode byte 0x{chunk[exc.start]:02x} in "
+                             f"position {offset + exc.start}: {exc.reason}") from None
+        yield from text.splitlines()
+        offset += len(chunk)
 
 
 def cmd_compute(args) -> int:
-    # Two passes.  The first reads and validates every line in input order.
+    # Two passes.  The first reads and validates the lines in input order;
+    # a --strict error stops it, and the reading, at that line.
     # The second evaluates the good lines grouped by n, one spectral run
     # (split_rows) at a time, and puts each row back at its input position.
     # Every error is one (line number, message, exit code or None) entry: a

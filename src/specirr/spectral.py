@@ -29,13 +29,17 @@ With q = 2^41 the k-th minor is 2^(41k) p_k(x), where p_k is the
 characteristic polynomial of A's leading k x k submatrix.  One
 division-free Samuelson-Berkowitz pass per run computes p_1 ... p_n for the
 whole (B, n, n) stack in int64 numpy (every intermediate stays below 2^40
-for n <= ORACLE_MAX_N), and each count evaluates every minor exactly by a
-homogeneous Horner pass over Python ints.  Counting on the grid
-x(j) = (2j + 1) / 2^41, which contains no integer (so, the eigenvalues of
-every leading submatrix being algebraic integers, no minor vanishes),
-brackets rho in an interval of width 2^-40; its midpoint is within 2^-41
-of the true radius.  The eigensolve only seeds that search, so the oracle
-cross-validates it.
+for n <= ORACLE_MAX_N).  Counting on the grid x(j) = (2j + 1) / 2^41,
+which contains no integer (so, the eigenvalues of every leading submatrix
+being algebraic integers, no minor vanishes), brackets rho in an interval
+of width 2^-40; its midpoint is within 2^-41 of the true radius.  Every
+row of a run is searched in lockstep.  Whether rho lies above a grid point
+is whether some minor is negative there, and a float64 Horner pass over
+the whole run decides almost every such sign, certified exact by a proven
+error bound (a floating-point filter, see _oracle_column).  Only a row with
+a sign that pass cannot certify is counted exactly, every minor by a
+homogeneous Horner pass over Python ints.  The eigensolve only seeds the
+search, so the oracle cross-validates it.
 """
 
 from __future__ import annotations
@@ -203,6 +207,10 @@ def spectral_summary(g: Graph, tol: float = DEFAULT_TOL) -> SpectralResult:
 # ---------------------------------------------------------------------------
 
 _GRID_BITS = 40  # the oracle brackets rho in an interval of width 2^-40
+# 2 gamma_2k for k = 1..ORACLE_MAX_N, where gamma_m = m u / (1 - m u) and
+# u = 2^-53: the slack of the float filter (_oracle_column).
+_FILTER_SLACK = np.array([2 * (2 * k * 2.0**-53) / (1 - 2 * k * 2.0**-53)
+                          for k in range(1, ORACLE_MAX_N + 1)])
 
 
 def _leading_polynomials(stack: np.ndarray) -> np.ndarray:
@@ -229,29 +237,28 @@ def _leading_polynomials(stack: np.ndarray) -> np.ndarray:
     for k in range(1, n):
         prev, new = coeffs[:, k, :k + 1], coeffs[:, k + 1]
         new[:, 1:k + 1] = prev[:, 1:]
-        head, c = adj[:, :k, :k], adj[:, :k, k]
+        head, c = adj[:, :k, :k], adj[:, :k, k:k + 1]
+        c_row = c.transpose(0, 2, 1)
         walk = c
         for j in range(k):
             if j:
-                walk = np.einsum("bij,bj->bi", head, walk)
-            new[:, j + 2:k + 2] -= np.einsum("bi,bi->b", c, walk)[:, None] * prev[:, :k - j]
+                walk = head @ walk
+            new[:, j + 2:k + 2] -= (c_row @ walk)[:, 0] * prev[:, :k - j]
     return coeffs
 
 
-def _leading_minors(stack: np.ndarray) -> list[list[list[int]]]:
-    """Per matrix of a (B, n, n) 0/1 adjacency stack and per k = 1..n, the
-    Python-int coefficients e_(k,i) 2^(41i), i = 0..k, of the homogenized
-    D_k(num) = 2^(41k) p_k(num / 2^41) = sum_i e_(k,i) num^(k-i) 2^(41i),
-    from _leading_polynomials."""
-    n = stack.shape[1]
-    scale = np.array([1 << (_GRID_BITS + 1) * i for i in range(n + 1)], dtype=object)
-    homogenized = (_leading_polynomials(stack).astype(object) * scale).tolist()
-    return [[row[:k + 1] for k, row in enumerate(rows) if k] for rows in homogenized]
+def _homogenized(coeffs: np.ndarray) -> list[list[list[int]]]:
+    """Per matrix of (B, n + 1, n + 1) _leading_polynomials coefficients and
+    per k = 1..n, the Python-int coefficients e_(k,i) 2^(41i), i = 0..k, of
+    the homogenized D_k(num) = 2^(41k) p_k(num / 2^41)
+    = sum_i e_(k,i) num^(k-i) 2^(41i)."""
+    return [[[e << (_GRID_BITS + 1) * i for i, e in enumerate(row[:k + 1])]
+             for k, row in enumerate(rows) if k] for rows in coeffs.tolist()]
 
 
 def _count_above(minors: Sequence[Sequence[int]], num: int) -> int:
     """Number of eigenvalues of A above x = num / 2^41, for odd num, where
-    minors is A's entry of _leading_minors.
+    minors is A's entry of _homogenized.
 
     By Sylvester's law of inertia this is the number of negative
     eigenvalues of the integer matrix M = num*I - 2^41*A, which is the
@@ -274,43 +281,13 @@ def _count_above(minors: Sequence[Sequence[int]], num: int) -> int:
     return changes
 
 
-def _bracket_radius(minors: Sequence[Sequence[int]], estimate: float) -> float:
-    """j / 2^40 for the grid index j with x(j-1) < rho < x(j), where
-    x(j) = (2j + 1) / 2^41 and minors is A's entry of _leading_minors.
-
-    The search gallops outward from the finite estimate with doubling steps
-    and then bisects; a poor estimate costs counts, never correctness.
-    """
-
-    def above(j: int) -> bool:
-        return _count_above(minors, 2 * j + 1) > 0
-
-    seed = round(estimate * (1 << _GRID_BITS))
-    step = 1
-    if above(seed):
-        lo, hi = seed, seed + 1
-        while above(hi):
-            lo, hi, step = hi, hi + step, 2 * step
-    else:
-        lo, hi = seed - 1, seed
-        while not above(lo):
-            lo, hi, step = lo - step, lo, 2 * step
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if above(mid):
-            lo = mid
-        else:
-            hi = mid
-    return hi / (1 << _GRID_BITS)
-
-
 def spectral_oracle(g: Graph, estimate: float | None = None) -> float:
     """Adjacency spectral radius certified by exact inertia counts.
 
     The radius is bracketed between adjacent points of the grid
-    x(j) = (2j + 1) / 2^41 by counting, exactly in integers, the
-    eigenvalues above each point (leading principal minors, see
-    _count_above); the bracket's midpoint is returned, within 2^-41
+    x(j) = (2j + 1) / 2^41 by deciding exactly whether it lies above each
+    point, from the signs of the leading principal minors there (see
+    _oracle_column); the bracket's midpoint is returned, within 2^-41
     (about 4.5e-13) of the true radius.  No grid point is an integer, so
     no leading minor can vanish.  The estimate, a float rho already
     computed, only seeds the search; the result does not depend on it.
@@ -323,17 +300,122 @@ def spectral_oracle(g: Graph, estimate: float | None = None) -> float:
 
 def _oracle_column(stack: np.ndarray, estimates: np.ndarray) -> np.ndarray:
     """spectral_oracle of each matrix of a (B, n, n) 0/1 adjacency stack,
-    seeded by the matching estimate, from one _leading_minors of the stack.
+    seeded by the matching estimate: j / 2^40 for the grid index j with
+    x(j-1) < rho < x(j), where x(j) = (2j + 1) / 2^41.
 
     A NaN or infinite estimate is replaced by that matrix's top eigenvalue,
     ungated: a residual the eigensolve would reject still seeds the search.
+    Each seed is round(estimate * 2^40), clamped to [-n 2^40, n 2^40]:
+    every eigenvalue lies in [-(n-1), n-1], so the clamp only saves probes.
+    All rows are searched in lockstep, one probe per unfinished row and
+    step: x(seed - 1) and x(seed) first, then galloping outward with
+    doubling steps until the probes straddle rho, then bisecting.  The
+    bracket depends on the matrix and the grid alone, never on the seed.
+
+    rho > x exactly when some leading minor is negative at x (the count of
+    _count_above is the number of sign changes in 1, D1, ..., Dn), so a
+    probe needs only the signs of p_1(x) ... p_n(x).  One float64 Horner
+    pass per step computes every p_k(x) of every probed row (_float_signs),
+    and a sign is certified when the float value v satisfies
+    |v| > 2 gamma_2k b', where b' is the float Horner value of the absolute
+    coefficients at |x|, gamma_m = m u / (1 - m u) and u = 2^-53.
+
+    - The inputs are exact: every coefficient is an integer below 2^40
+      (_leading_polynomials), and x is an odd integer below 2^53 over a
+      power of two, so both are doubles without rounding.
+    - The bound: by Higham's bound for Horner's rule (Accuracy and
+      Stability of Numerical Algorithms, 2nd ed., eq. (5.3)), v is within
+      gamma_2k b of p_k(x), where b = sum_i |c_(k,i)| |x|^(k-i), and b' is
+      within gamma_2k b of b, so b <= b' / (1 - gamma_2k).  2 gamma_2k b'
+      exceeds that error with room for the rounding of the product itself:
+      a certified sign is exact, and a p_k(x) that is truly 0 is never
+      certified (Shewchuk's floating-point filter).
+    - Nothing underflows, which the bound assumes: x is a multiple of
+      2^-41, and rounding a multiple of a power of two to a double keeps it
+      one, so after i Horner steps every value is a multiple of 2^(-41 i):
+      0, or at least 2^-492 in magnitude for n <= ORACLE_MAX_N, far above
+      the smallest normal double, 2^-1022.  b' is at least |x|^k >= 2^-492
+      (p_k is monic), so the threshold 2 gamma_2k b' is normal too.  The
+      clamped seeds keep every probe within a few n of 0, so nothing
+      overflows either.
+
+    A row for which any sign stays undecided is counted exactly by
+    _count_above on its _homogenized entry, made on that row's first such
+    probe; a minor that truly vanished therefore still raises there.
     """
-    n = stack.shape[1]
+    size, n = stack.shape[:2]
     if n > ORACLE_MAX_N:
         raise ValueError(f"oracle capped at n <= {ORACLE_MAX_N}, got {n}")
     unseeded = ~np.isfinite(estimates)
     if unseeded.any():
         estimates = estimates.copy()
         estimates[unseeded] = np.linalg.eigvalsh(stack[unseeded].astype(float))[:, -1]
-    return np.array([_bracket_radius(minors, estimate) for minors, estimate
-                     in zip(_leading_minors(stack), estimates.tolist())])
+    coeffs = _leading_polynomials(stack)
+    terms = _horner_terms(coeffs)
+    every = np.arange(size)
+    minors = {}  # row -> its _homogenized entry, for the rows the float pass leaves undecided
+
+    def above(rows, j: np.ndarray) -> np.ndarray:
+        # Whether rho > x(j) for the matrices rows (an index array or a
+        # slice) picks out, along j's last axis.
+        negative, decided = _float_signs(terms[:, rows], j)
+        for index in map(tuple, np.argwhere(~decided).tolist()):
+            row = int(every[rows][index[-1]])
+            if row not in minors:
+                minors[row] = _homogenized(coeffs[row:row + 1])[0]
+            negative[index] = _count_above(minors[row], 2 * int(j[index]) + 1) > 0
+        return negative
+
+    grid = float(1 << _GRID_BITS)
+    seeds = np.rint(np.clip(estimates, -n, n) * grid).astype(np.int64)
+    # x(seed - 1) < rho < x(seed) whenever the estimate is within half a
+    # grid step of rho; the rows those probes do not bracket gallop upward
+    # from x(seed) or downward from x(seed - 1).
+    below, rising = above(slice(None), np.stack([seeds - 1, seeds]))
+    galloping = rising | ~below
+    lo = np.where(rising, seeds, np.where(below, seeds - 1, seeds - 2))
+    hi = lo + 1  # rho > x(lo) always, and rho < x(hi) once the row stops galloping
+    step = np.ones(size, dtype=np.int64)
+    while (rows := np.flatnonzero(galloping | (hi - lo > 1))).size:
+        gallop, up, l, h, s = galloping[rows], rising[rows], lo[rows], hi[rows], step[rows]
+        probe = np.where(gallop, np.where(up, h, l), (l + h) // 2)
+        found = above(rows, probe)
+        # A galloping row moves on while its probe stays on its seed's side
+        # of rho; a bisecting row keeps the half rho lies in.
+        onward = gallop & (found == up)
+        lo[rows] = np.where(onward, np.where(up, h, l - s), np.where(~gallop & found, probe, l))
+        hi[rows] = np.where(onward, np.where(up, h + s, l), np.where(~gallop & ~found, probe, h))
+        step[rows] = np.where(onward, 2 * s, s)
+        galloping[rows] = onward
+    return hi / grid
+
+
+def _horner_terms(coeffs: np.ndarray) -> np.ndarray:
+    """(n + 1, B, 2, n) float64 Horner terms of (B, n + 1, n + 1)
+    _leading_polynomials coefficients: terms[i, b, 0, k - 1] is the
+    coefficient of t^(n-i) in matrix b's p_k (0 above p_k's degree), and
+    terms[i, b, 1, k - 1] its absolute value.  Every coefficient is an
+    integer below 2^40, so each is an exact double."""
+    n = coeffs.shape[1] - 1
+    k = np.arange(1, n + 1)[:, None]
+    i = np.arange(n + 1) - (n - k)  # (n, n + 1): index into p_k's row, negative above its degree
+    aligned = np.where(i >= 0, coeffs[:, k, np.maximum(i, 0)], 0)
+    return np.stack([aligned, np.abs(aligned)], axis=1).transpose(3, 0, 1, 2).astype(float)
+
+
+def _float_signs(terms: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(negative, decided), shaped like j, from (n + 1, R, 2, n)
+    _horner_terms at the grid points x(j) = (2j + 1) / 2^41, j's last axis
+    running over the R matrices: negative tells whether some p_k(x), as
+    computed in float64, is below 0, and decided whether every such sign
+    is certified, hence exact, by the filter _oracle_column describes."""
+    n = terms.shape[3]
+    x = (2 * j + 1) / float(1 << _GRID_BITS + 1)
+    point = np.stack([x, np.abs(x)], axis=-1)[..., None]
+    acc = terms[0] * point + terms[1]
+    for term in terms[2:]:
+        acc *= point
+        acc += term
+    value, bound = acc[..., 0, :], acc[..., 1, :]
+    decided = (np.abs(value) > _FILTER_SLACK[:n] * bound).all(axis=-1)
+    return (value < 0).any(axis=-1), decided

@@ -631,6 +631,24 @@ def test_compute_loads_neither_multiprocessing_nor_hashlib():
     assert done.stderr == b"[]\n"
 
 
+def test_strict_stops_reading_stdin():
+    # The pipe stays open after the malformed first line: a reader that
+    # waited for the end of the input would never exit.
+    cmd, root = _cli_command("compute", "-", "--strict")
+    proc = subprocess.Popen(cmd, cwd=root, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
+    try:
+        proc.stdin.write(b"!!!bad!!!\n" + b"D~{\n" * 1000)
+        proc.stdin.flush()
+        assert proc.wait(timeout=60) == 2
+        assert proc.stdout.read() == b""
+        assert proc.stderr.read().startswith(b"line 1: ")
+    finally:
+        proc.kill()
+        for pipe in (proc.stdin, proc.stdout, proc.stderr):
+            pipe.close()
+
+
 def test_reader_closing_the_pipe_is_not_an_error(tmp_path):
     # 2 000 JSON rows are far more than a pipe buffers, so the run is still
     # writing when the reader leaves after one line.

@@ -30,6 +30,7 @@ from specirr import (
     to_graph6,
 )
 from specirr import graphs
+from specirr.spectral import _adjacency_stack
 
 # Published counts of isomorphism classes on n vertices (OEIS A000088 and
 # A001349); the enumeration must reproduce them exactly.
@@ -188,6 +189,23 @@ def test_connectivity_basics():
     assert is_connected(path(3))
     assert is_connected(Graph(1, frozenset()))
     assert not is_connected(from_edges(4, [(0, 1), (2, 3)]))
+
+
+def test_connected_rows_at_the_graph6_cap():
+    # The squarings must span a shortest path of n - 1 = 61 edges: P_62's
+    # ends, the two paths of P_31 + P_31, and a tree with a long path.
+    n = graphs.GRAPH6_MAX_N
+    half = n // 2
+    rng = random.Random(67)
+    tree = from_edges(n, [(v, rng.randrange(max(0, v - 3), v)) for v in range(1, n)])
+    cases = [
+        path(n),
+        from_edges(n, [(v, v + 1) for v in range(n - 1) if v != half - 1]),
+        tree,
+        from_edges(n, [(v, v + 1) for v in range(n - 2)]),  # an isolated last vertex
+    ]
+    assert graphs._connected_rows(_adjacency_stack(cases)).tolist() == [is_connected(g) for g in cases]
+    assert [is_connected(g) for g in cases] == [True, False, True, False]
 
 
 def test_components():

@@ -30,15 +30,18 @@ from specirr import (
     subdivided_prism,
 )
 from specirr.bounds import build_contexts
+from specirr import spectral
 from specirr.harness import build_context, verify_graphs
 from specirr.spectral import (
     CHUNK,
     ORACLE_MAX_N,
     _adjacency_stack,
-    _bracket_radius,
     _count_above,
-    _leading_minors,
+    _float_signs,
+    _homogenized,
+    _horner_terms,
     _leading_polynomials,
+    _oracle_column,
     spectral_runs,
 )
 
@@ -59,7 +62,7 @@ def _adjacency_matrix(g):
 
 
 def _minors(g):
-    return _leading_minors(_adjacency_stack([g]))[0]
+    return _homogenized(_leading_polynomials(_adjacency_stack([g])))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -330,19 +333,98 @@ def test_oracle_search_recovers_from_wrong_seeds():
     for g in graphs:
         rho = float(np.linalg.eigvalsh(_adjacency_matrix(g))[-1])
         oracle = spectral_oracle(g)
-        minors = _minors(g)
-        for estimate in (rho + 1e-6, rho - 0.7, 0.0, 50.0, -3.0):
-            found = _bracket_radius(minors, estimate)
+        estimates = np.array([rho + 1e-6, rho - 0.7, 0.0, 50.0, -3.0])
+        stack = _adjacency_stack([g] * len(estimates))
+        for found in _oracle_column(stack, estimates).tolist():
             assert found == oracle
             assert abs(found - rho) <= 1e-12
 
 
 def test_oracle_non_finite_estimate_seeds_as_none():
-    # The estimate only seeds the search: NaN and +-inf seed as no estimate.
-    for g in (parse_graph6("D?{"), complete(4), path(3), subdivided_prism(3)):
+    # The estimate only seeds the search: NaN and +-inf seed as no estimate,
+    # and so does +-1e300, which the clamp to the spectrum's range turns
+    # into a few probes.
+    for g in (parse_graph6("D?{"), complete(4), path(3), subdivided_prism(3), star(12)):
         oracle = spectral_oracle(g)
-        for estimate in (math.nan, math.inf, -math.inf):
+        for estimate in (math.nan, math.inf, -math.inf, 1e300, -1e300):
             assert spectral_oracle(g, estimate) == oracle, (g, estimate)
+
+
+def _oracle_cap_graphs():
+    """The n = 10..ORACLE_MAX_N graphs of test_leading_polynomials_exact_up_to_oracle_cap."""
+    rng = random.Random(61)
+    n = ORACLE_MAX_N
+    matching = from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                              if not (i % 2 == 0 and j == i + 1)])
+    return [complete(n), matching] + [_random_graph(rng, size, 0.85) for size in (10, 11, 12, 12)]
+
+
+def test_float_filter_agrees_with_exact_counts_next_to_every_eigenvalue():
+    # The two grid points either side of every eigenvalue are the hardest
+    # for the filter, as p_n(x) is smallest there: wherever it decides,
+    # "some leading minor is negative" must be "some eigenvalue lies above x".
+    graphs = [g for n in range(1, 7) for g in enumerate_graphs(n)] + _oracle_cap_graphs()
+    decided_points = total_points = 0
+    for g in graphs:
+        stack = _adjacency_stack([g])
+        terms, minors = _horner_terms(_leading_polynomials(stack)), _minors(g)
+        values = np.linalg.eigvalsh(stack[0].astype(float))
+        nearest = np.rint(values * 2.0**40).astype(np.int64)
+        j = np.unique(np.concatenate([nearest + d for d in (-2, -1, 0, 1)]))
+        negative, decided = _float_signs(terms, j[:, None])
+        for point, neg, ok in zip(j.tolist(), negative[:, 0].tolist(), decided[:, 0].tolist()):
+            total_points += 1
+            if ok:
+                decided_points += 1
+                assert neg == (_count_above(minors, 2 * point + 1) > 0), (g, point)
+    assert decided_points > total_points // 2, (decided_points, total_points)
+
+
+def test_float_filter_never_certifies_a_wrong_sign():
+    # p = (t - a)^m (t - b)^l next to its multiple root a is far smaller than
+    # Horner's rounding errors, so its float sign there is noise: the filter
+    # must leave it undecided, and certify only signs that are exact.  p is
+    # the last of n polynomials; the others are the constant 1, always
+    # certified positive.
+    certified = 0
+    for a, m, b, l in [(1, 4, -2, 3), (2, 5, 3, 4), (-3, 6, 3, 6), (0, 3, 1, 9), (2, 2, -1, 2)]:
+        p = np.polynomial.polynomial.polyfromroots([a] * m + [b] * l).round().astype(np.int64)
+        n = m + l
+        coeffs = np.zeros((1, n + 1, n + 1), dtype=np.int64)
+        for k in range(1, n):
+            coeffs[0, k, k] = 1
+        coeffs[0, n] = p[::-1]
+        terms = _horner_terms(coeffs)
+        for root in (a, b):
+            j = np.arange(root * 2**40 - 4, root * 2**40 + 4)
+            negative, decided = _float_signs(terms, j[:, None])
+            for point, neg, ok in zip(j.tolist(), negative[:, 0].tolist(), decided[:, 0].tolist()):
+                num = 2 * point + 1
+                exact = sum(int(c) * num ** (n - i) * 2 ** (41 * i) for i, c in enumerate(p[::-1]))
+                certified += ok
+                assert not ok or neg == (exact < 0), (a, m, b, l, point)
+    assert certified > 0
+
+
+def test_oracle_falls_back_to_exact_counts_on_small_classes(monkeypatch):
+    # Next to rho the filter cannot decide every sign, so the exact count
+    # must run there; it is the rare case.
+    calls = []
+
+    def counted(minors, num):
+        calls.append(num)
+        return _count_above(minors, num)
+
+    graphs = [g for n in range(1, 8) for g in enumerate_graphs(n)]
+    for n in range(1, 8):
+        run = [g for g in graphs if g.n == n]
+        stack = _adjacency_stack(run)
+        rho = np.linalg.eigvalsh(stack.astype(float))[:, -1]
+        expected = [spectral_oracle(g) for g in run]
+        with monkeypatch.context() as patch:
+            patch.setattr(spectral, "_count_above", counted)
+            assert _oracle_column(stack, rho).tolist() == expected
+    assert 0 < len(calls) < len(graphs) // 10, len(calls)
 
 
 def _fraction_det(rows):
@@ -369,12 +451,7 @@ def test_leading_polynomials_exact_up_to_oracle_cap():
     # of each leading submatrix at integer and half-integer points, among
     # them eigenvalues of K12 (-1, 11) and of K12 minus a perfect matching
     # (-2, 0, 10).
-    rng = random.Random(61)
-    n = ORACLE_MAX_N
-    k12 = complete(n)
-    matching = from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)
-                              if not (i % 2 == 0 and j == i + 1)])
-    graphs = [k12, matching] + [_random_graph(rng, size, 0.85) for size in (10, 11, 12, 12)]
+    graphs = _oracle_cap_graphs()
     points = [Fraction(i, 2) for i in range(-5, 6)] + [Fraction(10), Fraction(21, 2), Fraction(11)]
     for g in graphs:
         stack = _adjacency_stack([g])
