@@ -7,33 +7,33 @@ no cancellation in var = (1/n) sum d^2 - (2m/n)^2.  A value that is a
 quotient of two integers is the integer division a / b, which Python
 rounds correctly, so it equals float(Fraction(a, b)).
 
-build_contexts evaluates each graph once (degree statistics, class,
-connectivity, both spectral radii) and yields one BoundReport per graph
-holding those values, the irregularity and every bound.  It takes the
-radii from one stacked eigensolve per run of consecutive same-n graphs
-(see spectral); build_context is its one-graph case.  One rule,
-_applicability, decides from the statistics, class and connectivity which
-bounds apply (connectivity, regularity, vertex-count floors) and why the
-rest do not; a field is None exactly when that rule marks it
-inapplicable.  bound_report is build_context under a second name.  The
-raw formula functions trust their stated preconditions.
+bound_columns is the one evaluation, the path of verify, search and
+compute: from a (B, n, n) adjacency stack it computes every quantity of a
+run of same-n graphs (degree statistics, class, connectivity, both
+spectral radii from one stacked eigensolve, the irregularity and every
+bound) as one int64, boolean or float column, with the scalar formulas'
+order of operations.  One rule, _applicability, decides from the
+statistics, class and connectivity which bounds apply (connectivity,
+regularity, vertex-count floors) and why the rest do not; bound_columns
+applies it as masks, leaving a gated bound NaN where it does not apply.
+compute groups its whole input by n before it cuts runs, so an unsorted
+input pays for at most one short run per n.
 
-bound_columns is the same evaluation for a whole run at once, the path of
-verify, search and compute: from a (B, n, n) adjacency stack it computes
-each quantity as one int64, boolean or float column, with the scalar
-formulas' order of operations, so every value equals build_context's bit
-for bit; a gated bound is NaN where build_context has None.  compute
-groups its whole input by n before it cuts runs, so an unsorted input
-pays for at most one short run per n.  build_context stays the public
-per-graph API.
+build_contexts is the public per-graph view of the same evaluation: it
+cuts its input into runs of consecutive same-n graphs (spectral.split_runs),
+evaluates each with bound_columns and yields one BoundReport per row, with
+Python ints, exact rationals and floats, None where a gated column is NaN
+and the notes of _applicability.  build_context is its one-graph case and
+bound_report the same function under a second name.  The raw formula
+functions trust their stated preconditions; tests hold the columns to them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -42,16 +42,16 @@ from .graphs import (
     Graph,
     RegularityClass,
     _connected_rows,
-    classify,
     degree_stats,
     is_connected,
 )
 from .spectral import (
     DEFAULT_TOL,
-    SpectralResult,
+    _adjacency_stack,
     _solve_stack,
     adjacency_spectral_radius,
-    spectral_runs,
+    check_tolerance,
+    split_runs,
 )
 
 
@@ -109,7 +109,7 @@ def cgs_bound(s: DegreeStats) -> float:
     Only sound for connected non-regular graphs on n >= 4 vertices: it is
     strictly positive (so regular graphs falsify it trivially) and the
     path on 3 vertices falsifies it too (irregularity sqrt(2) - 4/3 is
-    below 1/12).  build_context applies the gate.
+    below 1/12).  _applicability states the gate.
     """
     return 1.0 / (s.n * (s.max_degree + 2))
 
@@ -153,12 +153,8 @@ def yu_lu_tian_lower(g: Graph) -> float:
         raise ValueError("Yu-Lu-Tian bound requires a connected graph")
     if g.m == 0:
         raise ValueError("Yu-Lu-Tian bound requires at least one edge")
-    return _yu_lu_tian(degree_stats(g))
-
-
-def _yu_lu_tian(s: DegreeStats) -> float:
-    num = sum(t * t for t in s.two_degrees)
-    return math.sqrt(num / s.sum_sq_degrees)
+    s = degree_stats(g)
+    return math.sqrt(sum(t * t for t in s.two_degrees) / s.sum_sq_degrees)
 
 
 def hong_shu_fang_upper(s: DegreeStats) -> float:
@@ -290,7 +286,7 @@ def _check_l_domain(n: int, dmax: int, high: bool) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Assembled report
+# The per-graph record
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -353,42 +349,40 @@ def _applicability(s: DegreeStats, cls: RegularityClass, connected: bool) -> dic
     return notes
 
 
-def _report(g: Graph, summary: SpectralResult) -> BoundReport:
-    s = degree_stats(g)
-    cls = classify(g)
-    connected = is_connected(g)
-    notes = _applicability(s, cls, connected)
-    var_lb, var_ub = map(float, variance_sandwich(s))
-    return BoundReport(
-        graph=g,
-        stats=s,
-        regularity=cls,
-        connected=connected,
-        rho=summary.rho,
-        q1=summary.q1,
-        epsilon=_epsilon(summary.rho, s.m, s.n),
-        nikiforov=nikiforov_bound(s),
-        main=main_bound(s),
-        cg_degree=cg_degree_bound(s),
-        # A gated field's only possible note marks it inapplicable.
-        cgs=None if "cgs" in notes else cgs_bound(s),
-        sub_high=None if "sub_high" in notes else subregular_bounds(s, cls),
-        sub_low=None if "sub_low" in notes else subregular_bounds(s, cls),
-        hofmeister_lb=hofmeister_lower(s),
-        ylt_lb=None if "ylt_lb" in notes else _yu_lu_tian(s),
-        hsf_ub=None if "hsf_ub" in notes else hong_shu_fang_upper(s),
-        var_lb=var_lb,
-        var_ub=var_ub,
-        applicability=notes,
-    )
-
-
 def build_contexts(graphs: Iterable[Graph], tol: float = DEFAULT_TOL) -> Iterator[BoundReport]:
-    """Evaluate each graph once, in input order: degree statistics, class,
-    connectivity, both spectral radii (spectral_runs: one stacked
-    eigensolve per run of consecutive same-n graphs), and every applicable
-    bound built from those values."""
-    return (_report(g, summary) for g, summary in spectral_runs(graphs, tol, with_q1=True))
+    """Evaluate each graph once, in input order: bound_columns on each run
+    of consecutive same-n graphs (spectral.split_runs), one BoundReport per
+    row.  tol is checked on the call; a run is evaluated when its first
+    report is asked for."""
+    check_tolerance(tol)
+    return (report for run in split_runs(graphs)
+            for report in _reports(run, bound_columns(_adjacency_stack(run), tol)))
+
+
+# BoundReport's float fields, rho through var_ub, each a BoundColumns column.
+_FLOAT_FIELDS = tuple(f.name for f in fields(BoundReport))[4:-1]
+_CLASS_COLUMNS = ("regular", "high_subregular", "low_subregular")
+
+
+def _reports(run: Sequence[Graph], columns: BoundColumns) -> Iterator[BoundReport]:
+    """The BoundReport of each graph of run from its row of columns, the
+    evaluation of run's adjacency stack: every column value as a Python
+    int, bool or float, a NaN (a gated bound) as None."""
+    n = columns.n
+    names = [f.name for f in fields(columns)][2:]  # every array past n and adjacency
+    for g, values in zip(run, zip(*(getattr(columns, name).tolist() for name in names))):
+        row = dict(zip(names, values))
+        stats = DegreeStats(
+            n=n, degrees=tuple(row["degrees"]), two_degrees=tuple(row["two_degrees"]),
+            avg_degree=Fraction(2 * row["m"], n), variance=Fraction(row["n2_variance"], n * n),
+            **{key: row[key] for key in ("m", "max_degree", "min_degree", "sum_sq_degrees")})
+        # The first class whose column holds; none of them: other-irregular.
+        cls = next((c for c, key in zip(RegularityClass, _CLASS_COLUMNS) if row[key]),
+                   RegularityClass.OTHER_IRREGULAR)
+        yield BoundReport(
+            graph=g, stats=stats, regularity=cls, connected=row["connected"],
+            applicability=_applicability(stats, cls, row["connected"]),
+            **{key: None if math.isnan(row[key]) else row[key] for key in _FLOAT_FIELDS})
 
 
 def build_context(g: Graph, tol: float = DEFAULT_TOL) -> BoundReport:
@@ -403,7 +397,7 @@ bound_report = build_context
 
 
 # ---------------------------------------------------------------------------
-# The same evaluation over a run, as columns
+# The evaluation of a run, as columns
 # ---------------------------------------------------------------------------
 
 @dataclass(eq=False, repr=False)  # comparing or printing whole arrays helps no caller
@@ -411,14 +405,16 @@ class BoundColumns:
     """One evaluation of a run of graphs with the same n, as columns: row i
     of every array belongs to the graph whose 0/1 matrix is adjacency[i].
 
-    Each column holds, row by row, the value BoundReport holds for that
-    graph, bit for bit: the float ones follow the scalar formulas' order of
+    Row i holds every value of graph i's BoundReport, which build_contexts
+    builds from it.  The float columns follow the scalar formulas' order of
     operations, on integer operands (at most 2 n^5) that float64 holds
-    exactly for n <= 1351.  Integer columns are int64; n2_variance is
-    n^2 var = n sum d^2 - 4m^2, the exact variance scaled to an integer.  Class and
-    connectivity are boolean columns (a graph in none of the three classes
-    is other-irregular).  A gated bound column is NaN exactly where its
-    BoundReport field is None, so a claim with that side never fires there.
+    exactly for n <= 1351, so each equals its formula bit for bit.  Integer
+    columns are int64; n2_variance is n^2 var = n sum d^2 - 4m^2, the exact
+    variance scaled to an integer.  Class and connectivity are boolean
+    columns (a graph in none of the three classes is other-irregular).  A
+    gated bound column is NaN exactly where _applicability marks the bound
+    inapplicable (BoundReport holds None there), so a claim with that side
+    never fires there.
     """
 
     n: int

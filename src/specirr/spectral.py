@@ -18,9 +18,12 @@ a stack as it would solve it alone, so no value depends on how the input
 was cut into runs.  CHUNK bounds a run's arrays, and runs are cut only
 here: split_rows cuts a sequence already known to share n (a level of the
 stored classes for verify and search, compute's input lines grouped by n),
-and split_runs cuts stretches of consecutive same-n Graphs.  verify,
-search and compute hand each run's stack to _solve_stack, which returns
-columns; spectral_runs returns one SpectralResult per graph.
+and split_runs lazily cuts stretches of consecutive same-n Graphs (for
+spectral_runs, bounds.build_contexts and harness.verify_graphs).  The
+gated eigensolve of a run's stack is _solve_stack, which returns columns:
+bounds.bound_columns reads them, and spectral_runs turns them into one
+SpectralResult per graph.  adjacency_spectral_radius and spectral_summary
+are spectral_runs on a run of one.
 
 The oracle path certifies rho exactly: by Sylvester's law of inertia, the
 number of eigenvalues of A above a rational x = p/q is the number of sign
@@ -75,8 +78,11 @@ class SpectralResult:
     """Spectral radius with accuracy metadata.
 
     rho is the adjacency spectral radius; q1 the signless-Laplacian radius
-    when it was requested alongside (None otherwise).  iterations is 1: one
-    eigensolve.  residual is ||Ax - rho x|| for the unit top eigenvector x.
+    when it was requested alongside (None otherwise).  residual is
+    ||Ax - rho x|| for the unit top eigenvector x.  iterations is always 1,
+    one eigensolve; it is kept because the benchmark's tracer
+    (perfbench/spans.py) reads it, and goes with the next change to that
+    benchmark's metrics.
     """
 
     rho: float
@@ -157,35 +163,29 @@ def _solve_stack(
     return rho, q1, residual
 
 
-def _solve_run(run: Sequence[Graph], tol: float, with_q1: bool) -> list[SpectralResult]:
-    """_solve_stack on the adjacency stack of a run, as one SpectralResult per graph."""
-    rho, q1, residual = _solve_stack(_adjacency_stack(run), tol, with_q1)
-    q1 = [None] * len(run) if q1 is None else q1.tolist()
-    return [SpectralResult(rho=r, q1=q, iterations=1, residual=e)
-            for r, q, e in zip(rho.tolist(), q1, residual.tolist())]
-
-
 def spectral_runs(
     graphs: Iterable[Graph], tol: float = DEFAULT_TOL, with_q1: bool = False
 ) -> Iterator[tuple[Graph, SpectralResult]]:
-    """(graph, SpectralResult) pairs in input order, one stacked eigensolve
-    per run (split_runs); each residual is at most tol * max(1, rho).
+    """(graph, SpectralResult) pairs in input order, one _solve_stack per
+    run (split_runs); each residual is at most tol * max(1, rho).
 
     tol is checked on the call; a run is solved when its first pair is
     asked for.  q1 is computed only with with_q1, and is None otherwise.
     """
     check_tolerance(tol)
-    return (pair for run in split_runs(graphs) for pair in zip(run, _solve_run(run, tol, with_q1)))
 
-
-def _solve_one(g: Graph, tol: float, with_q1: bool) -> SpectralResult:
-    [(_, result)] = spectral_runs([g], tol, with_q1)
-    return result
+    def pairs() -> Iterator[tuple[Graph, SpectralResult]]:
+        for run in split_runs(graphs):
+            rho, q1, residual = _solve_stack(_adjacency_stack(run), tol, with_q1)
+            q1 = [None] * len(run) if q1 is None else q1.tolist()
+            for g, r, q, e in zip(run, rho.tolist(), q1, residual.tolist()):
+                yield g, SpectralResult(rho=r, q1=q, iterations=1, residual=e)
+    return pairs()
 
 
 def adjacency_spectral_radius(g: Graph, tol: float = DEFAULT_TOL) -> SpectralResult:
     """Adjacency spectral radius, with residual at most tol * max(1, rho)."""
-    return _solve_one(g, tol, with_q1=False)
+    return next(spectral_runs([g], tol))[1]
 
 
 def signless_laplacian_radius(g: Graph, tol: float = DEFAULT_TOL) -> float:
@@ -194,12 +194,12 @@ def signless_laplacian_radius(g: Graph, tol: float = DEFAULT_TOL) -> float:
     It comes from the same evaluation as spectral_summary's, so tol bounds
     the adjacency residual exactly as there.
     """
-    return _solve_one(g, tol, with_q1=True).q1
+    return spectral_summary(g, tol).q1
 
 
 def spectral_summary(g: Graph, tol: float = DEFAULT_TOL) -> SpectralResult:
     """Adjacency radius and signless-Laplacian radius from one matrix."""
-    return _solve_one(g, tol, with_q1=True)
+    return next(spectral_runs([g], tol, with_q1=True))[1]
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,8 @@ from specirr import (
     yu_lu_tian_lower,
 )
 from specirr.bounds import (
-    build_context,
+    _applicability,
+    build_contexts,
     l_high_exact,
     l_high_two_term_exact,
     l_low_exact,
@@ -416,20 +417,55 @@ def test_gates_on_every_class():
 
 
 # ---------------------------------------------------------------------------
-# The column evaluation of verify and search against the per-graph record
+# The column evaluation against the scalar formulas
 # ---------------------------------------------------------------------------
 
 FLOAT_FIELDS = ("rho", "q1", "epsilon", "nikiforov", "main", "cg_degree", "cgs",
                 "sub_high", "sub_low", "hofmeister_lb", "ylt_lb", "hsf_ub", "var_lb", "var_ub")
 
 
-def _assert_row_is_report(columns, row, rep):
-    # Row `row` of a run's BoundColumns against build_context's BoundReport:
-    # every value bit for bit, and NaN exactly where the report has None,
-    # which is exactly where its note marks the bound inapplicable.
-    s, where = rep.stats, (rep.graph, row)
+def _reference(g):
+    # g's record written out from the public scalar formulas and a
+    # per-graph eigensolve, each gated bound None where the one
+    # applicability rule marks it inapplicable (the only note a gated
+    # field can get).  Returns the degree statistics, class, connectivity,
+    # notes and the float of every field of FLOAT_FIELDS.
+    s, cls, connected = degree_stats(g), classify(g), is_connected(g)
+    notes = _applicability(s, cls, connected)
+    a = _adjacency_stack([g])[0].astype(float)
+    rho = float(np.linalg.eigh(a)[0][-1])
+    a[np.diag_indices(g.n)] = a.sum(axis=1)  # A + D
+    var_lb, var_ub = map(float, variance_sandwich(s))
+    values = {
+        "rho": rho,
+        "q1": float(np.linalg.eigvalsh(a)[-1]),
+        "epsilon": rho - 2 * s.m / s.n,
+        "nikiforov": nikiforov_bound(s),
+        "main": main_bound(s),
+        "cg_degree": cg_degree_bound(s),
+        "hofmeister_lb": hofmeister_lower(s),
+        "var_lb": var_lb,
+        "var_ub": var_ub,
+    }
+    gated = {
+        "cgs": lambda: cgs_bound(s),
+        "sub_high": lambda: subregular_bounds(s, cls),
+        "sub_low": lambda: subregular_bounds(s, cls),
+        "ylt_lb": lambda: yu_lu_tian_lower(g),
+        "hsf_ub": lambda: hong_shu_fang_upper(s),
+    }
+    values.update((key, None if key in notes else bound()) for key, bound in gated.items())
+    return s, cls, connected, notes, values
+
+
+def _assert_row_is_reference(columns, row, g):
+    # Row `row` of a run's BoundColumns against g's _reference: every value
+    # bit for bit, and NaN exactly where the reference has None, which is
+    # exactly where its note marks the bound inapplicable.
+    s, cls, connected, notes, values = _reference(g)
+    where = (g, row)
     assert columns.n == s.n
-    assert np.array_equal(columns.adjacency[row], _adjacency_stack([rep.graph])[0]), where
+    assert np.array_equal(columns.adjacency[row], _adjacency_stack([g])[0]), where
     assert tuple(columns.degrees[row].tolist()) == s.degrees, where
     assert tuple(columns.two_degrees[row].tolist()) == s.two_degrees, where
     ints = ("m", "max_degree", "min_degree", "sum_sq_degrees")
@@ -437,16 +473,16 @@ def _assert_row_is_report(columns, row, rep):
     assert Fraction(int(columns.n2_variance[row]), s.n * s.n) == s.variance, where
     assert columns.avg_degree[row].hex() == s.avg_degree_float.hex(), where
     assert columns.variance[row].hex() == s.variance_float.hex(), where
-    assert columns.connected[row] == rep.connected, where
+    assert columns.connected[row] == connected, where
     classes = (columns.regular[row], columns.high_subregular[row], columns.low_subregular[row])
-    assert classes == tuple(rep.regularity is c for c in list(RegularityClass)[:3]), where
+    assert classes == tuple(cls is c for c in list(RegularityClass)[:3]), where
     for key in FLOAT_FIELDS:
-        value, column = getattr(rep, key), float(getattr(columns, key)[row])
-        inapplicable = rep.applicability.get(key, "").startswith("inapplicable:")
+        value, column = values[key], float(getattr(columns, key)[row])
+        inapplicable = notes.get(key, "").startswith("inapplicable:")
         assert (value is None) == math.isnan(column) == inapplicable, (key, where)
         if value is not None:
             assert value.hex() == column.hex(), (key, where, value, column)
-    degenerate = {key for key, note in rep.applicability.items() if note.startswith("degenerate:")}
+    degenerate = {key for key, note in notes.items() if note.startswith("degenerate:")}
     assert degenerate == ({"nikiforov", "main", "cg_degree"} if columns.m[row] == 0 else set())
 
 
@@ -464,7 +500,7 @@ def test_columns_equal_the_report_on_every_small_class():
     rows = [(columns, row) for columns in runs for row in range(len(columns))]
     assert len(rows) == len(graphs) == 1252
     for (columns, row), g in zip(rows, graphs):
-        _assert_row_is_report(columns, row, build_context(g))
+        _assert_row_is_reference(columns, row, g)
 
 
 def test_columns_equal_the_report_on_every_family_to_n_40():
@@ -480,4 +516,29 @@ def test_columns_equal_the_report_on_every_family_to_n_40():
     rows = [(columns, row) for columns in runs for row in range(len(columns))]
     assert len(rows) == len(graphs) and max(len(columns) for columns in runs) > 1
     for (columns, row), g in zip(rows, graphs):
-        _assert_row_is_report(columns, row, build_context(g))
+        _assert_row_is_reference(columns, row, g)
+
+
+def test_reports_are_rows_of_python_values():
+    # build_contexts builds each BoundReport from a row of BoundColumns.  Its
+    # values must be the scalar formulas' and Python's own types: an
+    # np.int64 or np.bool_ compares equal but json.dumps rejects it.
+    graphs = [g for n in range(1, 8) for g in enumerate_graphs(n)]
+    for g, rep in zip(graphs, build_contexts(graphs), strict=True):
+        s, cls, connected, notes, values = _reference(g)
+        assert rep.graph is g
+        assert rep.stats == s  # degree_stats(g)
+        ints = [getattr(rep.stats, key) for key in ("n", "m", "max_degree", "min_degree",
+                                                    "sum_sq_degrees")]
+        ints += [*rep.stats.degrees, *rep.stats.two_degrees]
+        assert all(type(value) is int for value in ints), g
+        assert type(rep.stats.degrees) is type(rep.stats.two_degrees) is tuple
+        assert rep.regularity is cls  # classify(g)
+        assert type(rep.connected) is bool and rep.connected == connected
+        assert rep.applicability == notes
+        for key in FLOAT_FIELDS:
+            value, expected = getattr(rep, key), values[key]
+            if expected is None:
+                assert value is None, (key, g)
+            else:
+                assert type(value) is float and value.hex() == expected.hex(), (key, g)

@@ -14,11 +14,11 @@ from specirr import (
     SpectralConvergenceError,
     SpectralResult,
     adjacency_spectral_radius,
-    bound_report,
     complete,
     cycle,
     degree_stats,
     enumerate_graphs,
+    epsilon,
     from_edges,
     parse_graph6,
     path,
@@ -127,6 +127,10 @@ def test_non_finite_tolerance_rejected(tol):
         signless_laplacian_radius(path(3), tol=tol)
     with pytest.raises(ValueError, match="finite and positive"):
         verify_graphs([path(3)], tol=tol)
+    with pytest.raises(ValueError, match="finite and positive"):
+        build_context(path(3), tol=tol)
+    with pytest.raises(ValueError, match="finite and positive"):
+        build_contexts([], tol=tol)  # checked on the call, before any run
 
 
 def test_residual_above_tolerance_raises():
@@ -145,7 +149,8 @@ def _bits(report):
 
 
 def test_one_evaluation_matches_the_separate_calls():
-    # spectral_summary and build_context evaluate each graph once; their
+    # spectral_summary and build_context each evaluate a graph once, on two
+    # paths (spectral_runs, and bound_columns through build_contexts); their
     # values must be bit-for-bit those of the single-purpose functions.  A
     # graph's report must not depend on the run it was solved in: in
     # enumeration order most runs hold CHUNK graphs, shuffled they split at
@@ -156,7 +161,10 @@ def test_one_evaluation_matches_the_separate_calls():
         summary = spectral_summary(g)
         assert summary.rho == adjacency_spectral_radius(g).rho
         assert summary.q1 == signless_laplacian_radius(g)
-        assert bound_report(g).epsilon == build_context(g).epsilon
+        report = build_context(g)
+        assert report.rho == adjacency_spectral_radius(g).rho
+        assert report.q1 == signless_laplacian_radius(g)
+        assert report.epsilon == epsilon(g)
     shuffled = graphs[:]
     random.Random(15).shuffle(shuffled)
     for order in (graphs, shuffled):
@@ -187,10 +195,12 @@ def test_runs_split_at_each_change_of_n_and_at_chunk(monkeypatch):
 
 
 def test_runs_are_cut_lazily():
-    # A run is solved when its first pair is asked for: an endless stretch
-    # of graphs with the same n must still give its first pair.
+    # A run is solved when its first pair or report is asked for: an
+    # endless stretch of graphs with the same n must still give its first.
     g, result = next(spectral_runs(itertools.repeat(cycle(5))))
     assert g == cycle(5) and result.rho == pytest.approx(2.0)
+    report = next(build_contexts(itertools.repeat(cycle(5))))
+    assert report.graph == cycle(5) and report.rho == pytest.approx(2.0)
 
 
 @pytest.mark.parametrize("connected_only", [True, False])
