@@ -185,7 +185,8 @@ def cmd_compute(args) -> int:
     # Two passes.  The first reads and validates the lines in input order;
     # a --strict error stops it, and the reading, at that line.
     # The second evaluates the good lines grouped by n, one spectral run
-    # (split_rows) at a time, and puts each row back at its input position.
+    # (split_rows: up to spectral.run_length(n) lines) at a time, and puts
+    # each row back at its input position.
     # Every error is one (line number, message, exit code or None) entry: a
     # skipped line has no code, a --strict line 2, no input or a byte that
     # is not ASCII 2 at line infinity (it ends the input), and a residual
@@ -213,7 +214,7 @@ def cmd_compute(args) -> int:
         errors.append((math.inf, f"error: {exc}", EXIT_USAGE))
     rows = [None] * len(graph6s)
     for n, positions in groups.items():
-        for run in split_rows(positions):
+        for run in split_rows(positions, n):
             texts = [graph6s[k] for k in run]
             try:
                 columns = bound_columns(_bits_stack(n, _graph6_bits(n, texts)), args.tol)
@@ -260,9 +261,10 @@ def cmd_verify(args) -> int:
 
         # Workers are fed from the same stream, 16 runs (corpus_runs) of
         # same-n classes per message, each evaluated as one batch.  A
-        # message costs this process about 0.85 ms, a third of a worker's
-        # time on a run at n = 9, so one message per run ate most of what a
-        # second worker gains.
+        # message costs this process about 0.85 ms, a fifth of a worker's
+        # time on a run of 154 classes at n = 9: one message per run gave
+        # up over half of what a second worker gains, while 4, 32 or 64
+        # runs per message timed as 16 within the host's noise.
         with Pool(jobs) as pool:
             results = list(pool.imap(check, runs, chunksize=16))
     else:

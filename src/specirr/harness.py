@@ -8,13 +8,13 @@ classes for the smallest (Hong's question) and the largest irregularity at
 fixed (n, m), recording outcomes without asserting them: the minimal-gap
 question is open and the harness gathers evidence.
 
-Both work a run at a time: up to CHUNK graphs with the same n, as one
-(B, n, n) adjacency stack.  The corpus path cuts its runs from the stored
-classes' bit rows (graphs._class_bits), so no Graph is built there.  A
-check maps a run's BoundColumns to a list of claim columns, and a
-ViolationReport, with the Graph, graph6 and canonical form it names, is
-built only for a row where a claim fails.  compute evaluates the same
-BoundColumns, from runs of its input lines grouped by n.
+Both work a run at a time: up to spectral.run_length(n) graphs with the
+same n, as one (B, n, n) adjacency stack.  The corpus path cuts its runs
+from the stored classes' bit rows (graphs._class_bits), so no Graph is
+built there.  A check maps a run's BoundColumns to a list of claim
+columns, and a ViolationReport, with the Graph, graph6 and canonical form
+it names, is built only for a row where a claim fails.  compute evaluates
+the same BoundColumns, from runs of its input lines grouped by n.
 """
 
 from __future__ import annotations
@@ -356,11 +356,12 @@ def verify_graphs(
 
 def corpus_runs(n_max: int) -> Iterator[tuple[int, np.ndarray]]:
     """Every class with n <= n_max, in enumeration order, as (n, bits) runs:
-    up to CHUNK consecutive rows of graphs._class_bits(n).  n_max is
-    checked on the call."""
+    up to spectral.run_length(n) consecutive rows of graphs._class_bits(n).
+    n_max is checked on the call."""
     if not 1 <= n_max <= ENUMERATION_CAP:
         raise ValueError(f"corpus cap is 1 <= n_max <= {ENUMERATION_CAP}, got {n_max}")
-    return ((n, bits) for n in range(1, n_max + 1) for bits in split_rows(_class_bits(n)))
+    return ((n, bits) for n in range(1, n_max + 1)
+            for bits in split_rows(_class_bits(n), n))
 
 
 def verify_run(
@@ -417,9 +418,9 @@ def _connected_epsilons(
     """(graph6, m, epsilon, degree gap) of each connected class of n whose
     index is in classes, in enumeration order; with irregular_only the
     regular ones are left out.  rho comes from one eigensolve per run of
-    up to CHUNK classes, without q1."""
+    up to spectral.run_length(n) classes, without q1."""
     forms, bits = _class_forms(n), _class_bits(n)
-    for index in split_rows(np.arange(classes.start, classes.stop)):
+    for index in split_rows(np.arange(classes.start, classes.stop), n):
         stack = _bits_stack(n, bits[index])
         degrees = stack.sum(axis=2, dtype=np.int64)
         gap = degrees.max(axis=1) - degrees.min(axis=1)

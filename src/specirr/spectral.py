@@ -8,17 +8,17 @@ A + D gives the signless-Laplacian radius.  A disconnected graph needs no
 special handling, since the spectrum of its block-diagonal matrix is the
 union of the components' spectra.
 
-Graphs are evaluated in runs.  A run is up to CHUNK graphs with the same
-vertex count; a single graph is a run of one.  Each run gets one
+Graphs are evaluated in runs.  A run is up to run_length(n) graphs with
+the same vertex count n; a single graph is a run of one.  Each run gets one
 np.linalg.eigh on its (B, n, n) adjacency stack, one vectorised residual
 gate over every row (a failure raises SpectralConvergenceError for the
 first failing row, and carries that row's index), and, only when q1 is
 wanted, one eigvalsh on the stack of A + D.  LAPACK solves each matrix of
 a stack as it would solve it alone, so no value depends on how the input
-was cut into runs.  CHUNK bounds a run's arrays, and runs are cut only
-here: split_rows cuts a sequence already known to share n (a level of the
-stored classes for verify and search, compute's input lines grouped by n),
-and split_runs lazily cuts stretches of consecutive same-n Graphs (for
+was cut into runs.  run_length bounds a run's arrays, and runs are cut
+only here: split_rows cuts a sequence already known to share n (a level of
+the stored classes for verify and search, compute's input lines grouped by
+n), and split_runs lazily cuts stretches of consecutive same-n Graphs (for
 spectral_runs, bounds.build_contexts and harness.verify_graphs).  The
 gated eigensolve of a run's stack is _solve_stack, which returns columns:
 bounds.bound_columns reads them, and spectral_runs turns them into one
@@ -59,7 +59,8 @@ from .graphs import Graph
 
 DEFAULT_TOL = 1e-12
 ORACLE_MAX_N = 12
-CHUNK = 64  # the most graphs one stacked eigensolve takes
+CHUNK = 64  # run_length's floor: the most graphs a run takes from n = 14 on
+RUN_ENTRIES = 12_544  # 256 * 7^2: the matrix entries run_length allows a run below that
 
 
 class SpectralConvergenceError(RuntimeError):
@@ -106,17 +107,34 @@ def check_tolerance(tol: float) -> float:
     return tol
 
 
+def run_length(n: int) -> int:
+    """The most n-vertex graphs one run takes: max(CHUNK, RUN_ENTRIES // n^2).
+
+    Each run pays a fixed cost in numpy calls (the eigensolve, the bound
+    and claim columns, the oracle's recursion and lockstep search), which
+    64 graphs on 7 vertices (25 KB of float matrices) do not amortise, so
+    a run of small graphs is sized by its matrix entries: 256 graphs at
+    n = 7, 196 at n = 8, 154 at n = 9.  From n = 14 on the floor holds a
+    run at 64 graphs: runs of 256 raised compute's peak RSS on 1 024
+    G(62, 1/2) graphs from 39 to 65 MB and saved no time.
+    """
+    return max(CHUNK, RUN_ENTRIES // (n * n))
+
+
 def split_runs(graphs: Iterable[Graph]) -> Iterator[list[Graph]]:
-    """Maximal stretches of consecutive graphs with the same n, cut at CHUNK graphs."""
-    for _, same_n in groupby(graphs, key=attrgetter("n")):
-        while run := list(islice(same_n, CHUNK)):
+    """Maximal stretches of consecutive graphs with the same n, cut at
+    run_length(n) graphs."""
+    for n, same_n in groupby(graphs, key=attrgetter("n")):
+        length = run_length(n)
+        while run := list(islice(same_n, length)):
             yield run
 
 
-def split_rows(rows: Sequence) -> Iterator[Sequence]:
-    """Consecutive slices of at most CHUNK rows: the runs of rows already
-    known to share n."""
-    return (rows[start:start + CHUNK] for start in range(0, len(rows), CHUNK))
+def split_rows(rows: Sequence, n: int) -> Iterator[Sequence]:
+    """Consecutive slices of at most run_length(n) rows: the runs of rows
+    already known to hold n-vertex graphs."""
+    length = run_length(n)
+    return (rows[start:start + length] for start in range(0, len(rows), length))
 
 
 def _adjacency_stack(run: Sequence[Graph]) -> np.ndarray:

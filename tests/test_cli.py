@@ -193,14 +193,16 @@ def _emitted(rows, fmt, precision):
     return out.getvalue()
 
 
-@pytest.mark.parametrize("chunk", [1, 5, 64])
+@pytest.mark.parametrize("chunk", [1, 5, 64, None])
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_compute_grouping_by_n_cannot_change_output(fmt, chunk, tmp_path, monkeypatch, capsys):
-    # compute evaluates its input grouped by n, spectral.CHUNK graphs at a
-    # time; at the default 64, n = 7 alone spans 17 runs.  Every class n <= 7,
-    # shuffled, must print the rows of a per-graph evaluation, and a permuted
-    # input the same rows permuted the same way, however the groups are cut.
-    monkeypatch.setattr(spectral, "CHUNK", chunk)
+    # compute evaluates its input grouped by n, spectral.run_length(n) graphs
+    # at a time; by default (chunk None) n = 7 spans 5 runs, 4 of 256 classes
+    # and one of 20.  Every class n <= 7, shuffled, must print the rows of a
+    # per-graph evaluation, and a permuted input the same rows permuted the
+    # same way, however the groups are cut.
+    if chunk is not None:
+        monkeypatch.setattr(spectral, "run_length", lambda n: chunk)
     texts = [to_graph6(g) for n in range(1, 8) for g in enumerate_graphs(n)]
     assert len(texts) == 1252
     random.Random(18).shuffle(texts)
@@ -299,14 +301,16 @@ def test_verify_self_test_exits_one(tmp_path, capsys):
     assert rows and all(r["check"] == "self-test-corrupted" for r in rows)
 
 
-@pytest.mark.parametrize("chunk", [1, 5, 64])
+@pytest.mark.parametrize("chunk", [1, 5, 64, None])
 def test_verify_jobs_deterministic(chunk, tmp_path, monkeypatch, capsys):
     # The self-test flags all 31 connected classes n <= 5: the file must not
     # depend on how many workers checked them, nor on how the classes were
-    # cut into runs.  The first file is made with the default cut.
+    # cut into runs (chunk None: the default rule).  The first file is made
+    # with the default cut and one worker.
     files = [tmp_path / "reference.csv"]
     run_cli(["verify", "--n-max", "5", "--self-test", "--violations-file", str(files[0])], capsys)
-    monkeypatch.setattr(spectral, "CHUNK", chunk)
+    if chunk is not None:
+        monkeypatch.setattr(spectral, "run_length", lambda n: chunk)
     for jobs in ("1", "2", "3"):
         files.append(tmp_path / f"v{jobs}.csv")
         code, _, err = run_cli(["verify", "--n-max", "5", "--self-test", "--jobs", jobs,

@@ -18,7 +18,7 @@ from specirr import (
     verify_corpus,
     verify_graphs,
 )
-from specirr import harness
+from specirr import harness, spectral
 from specirr.bounds import bound_columns, l_high_exact
 from specirr.graphs import (
     canonical_form,
@@ -283,6 +283,26 @@ def test_bell_infeasible_cell():
 def test_bell_cap():
     with pytest.raises(ValueError, match="capped"):
         bell_max_search(10, 9)
+
+
+def test_searches_do_not_depend_on_run_length(monkeypatch):
+    # Both searches must give equal records whether the classes are solved
+    # in runs of 1, 5 or 64 or by the default rule; fewer eigensolves on
+    # longer runs show that each cut took effect.
+    solve = harness._solve_stack
+    outcomes, solves = [], []
+    for chunk in (1, 5, 64, None):
+        calls = []
+        with monkeypatch.context() as patch:
+            if chunk is not None:
+                patch.setattr(spectral, "run_length", lambda n: chunk)
+            patch.setattr(harness, "_solve_stack",
+                          lambda *args, **kwargs: calls.append(1) or solve(*args, **kwargs))
+            outcomes.append((hong_search(range(2, 8)),
+                             [bell_max_search(n, m) for n, m in ((5, 6), (6, 9), (7, 6), (7, 12))]))
+        solves.append(len(calls))
+    assert all(outcome == outcomes[-1] for outcome in outcomes)
+    assert solves == sorted(solves, reverse=True) and len(set(solves)) == 4
 
 
 # ---------------------------------------------------------------------------

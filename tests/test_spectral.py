@@ -30,6 +30,7 @@ from specirr import (
     subdivided_prism,
 )
 from specirr.bounds import build_contexts
+from specirr.graphs import GRAPH6_MAX_N
 from specirr import spectral
 from specirr.harness import build_context, verify_graphs
 from specirr.spectral import (
@@ -42,6 +43,7 @@ from specirr.spectral import (
     _horner_terms,
     _leading_polynomials,
     _oracle_column,
+    run_length,
     spectral_runs,
 )
 
@@ -153,8 +155,8 @@ def test_one_evaluation_matches_the_separate_calls():
     # paths (spectral_runs, and bound_columns through build_contexts); their
     # values must be bit-for-bit those of the single-purpose functions.  A
     # graph's report must not depend on the run it was solved in: in
-    # enumeration order most runs hold CHUNK graphs, shuffled they split at
-    # almost every change of n.
+    # enumeration order most runs hold run_length(n) graphs, shuffled they
+    # split at almost every change of n.
     graphs = [g for n in range(1, 8) for g in enumerate_graphs(n)]
     graphs.append(from_edges(7, [(0, 1), (2, 3), (3, 4), (4, 2)]))  # K2 + K3 + 2 isolated
     for g in graphs:
@@ -172,8 +174,19 @@ def test_one_evaluation_matches_the_separate_calls():
         assert batched == [_bits(build_context(g)) for g in order]
 
 
+def test_run_length_rule():
+    # At least 64 graphs, and no more matrix entries than 256 graphs on 7
+    # vertices or 64 graphs on n, for every n graph6 can encode.
+    for n in range(1, GRAPH6_MAX_N + 1):
+        assert 64 <= run_length(n)
+        assert run_length(n) * n * n <= max(12_544, 64 * n * n)
+    assert [run_length(n) for n in (7, 8, 9, 13, 14, 62)] == [256, 196, 154, 74, 64, 64]
+
+
 def test_runs_split_at_each_change_of_n_and_at_chunk(monkeypatch):
-    graphs = list(enumerate_graphs(7))[:130] + list(enumerate_graphs(6))[:70]
+    rng = random.Random(14)
+    graphs = (list(enumerate_graphs(7))[:300] + list(enumerate_graphs(6))[:70]
+              + [_random_graph(rng, 14) for _ in range(70)])
     shapes = {"eigh": [], "eigvalsh": []}  # the stack each call solves
 
     def counted(name):
@@ -186,11 +199,17 @@ def test_runs_split_at_each_change_of_n_and_at_chunk(monkeypatch):
 
     for name in shapes:
         monkeypatch.setattr(np.linalg, name, counted(name))
-    assert len(list(spectral_runs(graphs))) == 200
-    runs = [(64, 7, 7), (64, 7, 7), (2, 7, 7), (64, 6, 6), (6, 6, 6)]
+    assert len(list(spectral_runs(graphs))) == 440
+
+    def cut(count, n):  # the runs the rule gives count graphs on n vertices
+        length = run_length(n)
+        return [(min(length, count - start), n, n) for start in range(0, count, length)]
+
+    runs = cut(300, 7) + cut(70, 6) + cut(70, 14)
+    assert runs == [(256, 7, 7), (44, 7, 7), (70, 6, 6), (64, 14, 14), (6, 14, 14)]
     assert shapes == {"eigh": runs, "eigvalsh": []}  # q1 not asked for: no eigvalsh
     shapes["eigh"].clear()
-    assert len(list(build_contexts(graphs))) == 200
+    assert len(list(build_contexts(graphs))) == 440
     assert shapes == {"eigh": runs, "eigvalsh": runs}
 
 
