@@ -6,7 +6,10 @@ every claim whose lhs - rhs exceeds its own slack as a ViolationReport,
 and a clean run returns an empty list.  The searches scan connected
 classes for the smallest (Hong's question) and the largest irregularity at
 fixed (n, m), recording outcomes without asserting them: the minimal-gap
-question is open and the harness gathers evidence.
+question is open and the harness gathers evidence.  Both go through one
+routine, _search, which holds the index, m, epsilon and degree gap of the
+classes it keeps as columns and states the tie rule once: a cell's ties
+are its classes within TIE_TOL of the cell's optimum; the first one wins.
 
 Both work a run at a time: up to spectral.run_length(n) graphs with the
 same n, as one (B, n, n) adjacency stack.  The corpus path cuts its runs
@@ -19,7 +22,6 @@ the same BoundColumns, from runs of its input lines grouped by n.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
@@ -398,9 +400,9 @@ def verify_corpus(
 class SearchRecord:
     """Extremal graph for one (n, m) cell.
 
-    `graph6` is the arg-optimal connected class (first in enumeration order
-    among ties); `ties` lists every co-optimal class within TIE_TOL of the
-    optimum together with its degree gap, including the winner.
+    `ties` lists, in enumeration order and with their degree gaps, every
+    class of the cell whose epsilon is within TIE_TOL of the cell's optimum;
+    `graph6` is the first of them.
     """
 
     objective: str  # "min" or "max"
@@ -412,52 +414,40 @@ class SearchRecord:
     ties: tuple[tuple[str, int], ...]
 
 
-def _connected_epsilons(
-    n: int, classes: range, irregular_only: bool
-) -> Iterator[tuple[str, int, float, int]]:
-    """(graph6, m, epsilon, degree gap) of each connected class of n whose
-    index is in classes, in enumeration order; with irregular_only the
-    regular ones are left out.  rho comes from one eigensolve per run of
-    up to spectral.run_length(n) classes, without q1."""
+def _search(n: int, first: int, stop: int, objective: str) -> list[SearchRecord]:
+    """One record per (n, m) cell among classes first..stop-1 of n that holds
+    a connected class, non-regular with "min" (a regular graph's epsilon is
+    0, which answers nothing there).
+
+    rho comes from one eigensolve per run of up to spectral.run_length(n)
+    classes, without q1.  The kept rows' class index, m, epsilon and degree
+    gap become columns, cut into cells where m changes (the classes are
+    sorted by edge count).  A cell's ties are its rows within TIE_TOL of
+    the cell's optimum, and the first of them wins.
+    """
     forms, bits = _class_forms(n), _class_bits(n)
-    for index in split_rows(np.arange(classes.start, classes.stop), n):
+    runs = []
+    for index in split_rows(np.arange(first, stop, dtype=np.int32), n):
         stack = _bits_stack(n, bits[index])
         degrees = stack.sum(axis=2, dtype=np.int64)
         gap = degrees.max(axis=1) - degrees.min(axis=1)
-        keep = _connected_rows(stack)
-        if irregular_only:
-            keep &= gap > 0
+        keep = _connected_rows(stack) & ((gap > 0) | (objective == "max"))
         rho = _solve_stack(stack[keep], DEFAULT_TOL, with_q1=False)[0]
         m = degrees[keep].sum(axis=1) // 2
-        yield from zip([forms[k] for k in index[keep].tolist()], m.tolist(),
-                       _epsilon(rho, m, n).tolist(), gap[keep].tolist())
-
-
-def _search_cell(
-    n: int, rows: Iterable[tuple[str, int, float, int]], objective: str
-) -> SearchRecord | None:
-    """Extremal record of one (n, m) cell from its (graph6, m, epsilon,
-    degree gap) rows, in enumeration order."""
-    best: list[tuple[str, int, float, int]] = []
+        runs.append((index[keep], m.astype(np.int16), _epsilon(rho, m, n),
+                     gap[keep].astype(np.int16)))
+    index, m, eps, gap = (np.concatenate(column) for column in zip(*runs))
     sign = 1.0 if objective == "min" else -1.0
-    for row in rows:
-        delta = sign * (row[2] - best[0][2]) if best else -math.inf
-        if delta < -TIE_TOL:
-            best = [row]
-        elif delta <= TIE_TOL:
-            best.append(row)
-    if not best:
-        return None
-    graph6, m, eps, gap = best[0]
-    return SearchRecord(
-        objective=objective,
-        n=n,
-        m=m,
-        graph6=graph6,
-        epsilon=eps,
-        degree_gap=gap,
-        ties=tuple((text, tie_gap) for text, _, _, tie_gap in best),
-    )
+    starts = np.flatnonzero(np.diff(m, prepend=-1)).tolist()
+    records = []
+    for lo, hi in zip(starts, starts[1:] + [len(m)]):
+        offset = sign * eps[lo:hi]
+        ties = (lo + np.flatnonzero(offset - offset.min() <= TIE_TOL)).tolist()
+        records.append(SearchRecord(
+            objective=objective, n=n, m=int(m[lo]), graph6=forms[index[ties[0]]],
+            epsilon=float(eps[ties[0]]), degree_gap=int(gap[ties[0]]),
+            ties=tuple((forms[index[k]], int(gap[k])) for k in ties)))
+    return records
 
 
 def check_search_sizes(n_values: Iterable[int]) -> list[int]:
@@ -473,29 +463,27 @@ def hong_search(n_values: Iterable[int]) -> list[SearchRecord]:
     """Minimal-irregularity connected non-regular graph for each (n, m).
 
     Each n must be in 2..ENUMERATION_CAP, and all are checked before any
-    class is enumerated.  One record per feasible cell; cells whose only
-    connected realizations are regular produce no record.  Whether every
-    minimizer has degree gap 1 is recorded, never asserted.
+    class is enumerated.  One record per feasible cell, over every class
+    of n (_search with "min"); cells whose only connected realizations are
+    regular produce no record.  Whether every minimizer has degree gap 1 is
+    recorded, never asserted.
     """
-    records: list[SearchRecord] = []
-    for n in check_search_sizes(n_values):
-        # Classes arrive sorted by edge count: each run of equal m is one cell.
-        rows = _connected_epsilons(n, range(len(_class_forms(n))), irregular_only=True)
-        records.extend(_search_cell(n, cell, "min") for _, cell in groupby(rows, lambda r: r[1]))
-    return records
+    return [record for n in check_search_sizes(n_values)
+            for record in _search(n, 0, len(_class_bits(n)), "min")]
 
 
 def bell_max_search(n: int, m: int) -> SearchRecord:
-    """Maximal-irregularity connected graph with n (2..ENUMERATION_CAP) vertices and m edges."""
+    """Maximal-irregularity connected graph with n (2..ENUMERATION_CAP)
+    vertices and m edges: _search with "max" over the classes of that one
+    cell.  Raises ValueError when the cell has no connected graph."""
     check_search_sizes([n])
     _check_edge_count(n, m)
     edges = _class_bits(n).sum(axis=1)  # sorted, as the classes are
     first, stop = np.searchsorted(edges, [m, m + 1]).tolist()
-    record = _search_cell(n, _connected_epsilons(n, range(first, stop), irregular_only=False),
-                          "max")
-    if record is None:
+    records = _search(n, first, stop, "max")
+    if not records:
         raise ValueError(f"no connected graph with n={n}, m={m}")
-    return record
+    return records[0]
 
 
 # ---------------------------------------------------------------------------
@@ -509,35 +497,39 @@ def l_monotonicity_grid(n_min: int = 7, n_max: int = 60) -> dict:
     their domains, the simplified forms coincide with the raw
     quotient-minus-square forms, and the endpoint values dominate their
     simplified tail estimates (2n - 4 + 6/n) / n^2 resp. (2n - 4 - 3/n) / n^2.
+    cells_checked counts the (n, Dmax) values evaluated: n - 3 for l_high
+    (Dmax = 2..n-2) and n - 2 for l_low (Dmax = 2..n-1) per n.
     """
     if n_min < 7:
         raise ValueError(f"grid requires n >= 7, got {n_min}")
     if n_max < n_min:
         raise ValueError("empty grid range")
     failures: list[str] = []
+    cells = 0
     for n in range(n_min, n_max + 1):
         highs = [l_high_exact(n, d) for d in range(2, n - 1)]
         lows = [l_low_exact(n, d) for d in range(2, n)]
-        for d in range(2, n - 1):
-            if l_high_exact(n, d) != l_high_two_term_exact(n, d):
+        cells += len(highs) + len(lows)
+        for d, value in enumerate(highs, start=2):
+            if value != l_high_two_term_exact(n, d):
                 failures.append(f"high-form-mismatch n={n} dmax={d}")
-        for d in range(2, n):
-            if l_low_exact(n, d) != l_low_two_term_exact(n, d):
+        for d, value in enumerate(lows, start=2):
+            if value != l_low_two_term_exact(n, d):
                 failures.append(f"low-form-mismatch n={n} dmax={d}")
         if any(a < b for a, b in zip(highs, highs[1:])):
             failures.append(f"high-not-nonincreasing n={n}")
         if any(a < b for a, b in zip(lows, lows[1:])):
             failures.append(f"low-not-nonincreasing n={n}")
         high_tail = Fraction(2 * n - 4, 1) + Fraction(6, n)
-        if l_high_exact(n, n - 2) < high_tail / n**2:
+        if highs[-1] < high_tail / n**2:  # Dmax = n - 2
             failures.append(f"high-tail n={n}")
         low_tail = Fraction(2 * n - 4, 1) - Fraction(3, n)
-        if l_low_exact(n, n - 1) < low_tail / n**2:
+        if lows[-1] < low_tail / n**2:  # Dmax = n - 1
             failures.append(f"low-tail n={n}")
     return {
         "n_min": n_min,
         "n_max": n_max,
-        "cells_checked": sum(2 * n - 3 for n in range(n_min, n_max + 1)),
+        "cells_checked": cells,
         "violations": failures,
         "ok": not failures,
     }

@@ -1,6 +1,7 @@
 """Verification harness: corpus sweeps, check injection, searches, grids."""
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -305,6 +306,79 @@ def test_searches_do_not_depend_on_run_length(monkeypatch):
     assert solves == sorted(solves, reverse=True) and len(set(solves)) == 4
 
 
+def _force_cell_epsilons(monkeypatch, m, offsets, rest):
+    # Patch the search's eigensolve so that the connected classes with m
+    # edges get epsilon 0.5 + offsets[k], k counting them in enumeration
+    # order, and 0.5 + rest once the offsets run out.
+    solve = harness._solve_stack
+    seen = []
+
+    def forced(stack, tol, with_q1):
+        rho, q1, residual = solve(stack, tol, with_q1=with_q1)
+        n, edges = stack.shape[1], stack.sum(axis=(1, 2)) // 2
+        for row in np.flatnonzero(edges == m).tolist():
+            offset = offsets[len(seen)] if len(seen) < len(offsets) else rest
+            seen.append(row)
+            rho[row] = 2 * m / n + 0.5 + offset
+        return rho, q1, residual
+
+    monkeypatch.setattr(harness, "_solve_stack", forced)
+
+
+# (offsets of the first three classes, indices of the expected ties): the
+# ties are every class within TIE_TOL of the cell's optimum, not a chain of
+# classes each within TIE_TOL of a running best.  Every offset is at least
+# 0.3e-12 away from the TIE_TOL boundary.
+TIE_CASES = [((0.0, -0.7e-12, -1.4e-12), [1, 2]), ((0.0, 0.7e-12, -0.6e-12), [0, 2])]
+
+
+@pytest.mark.parametrize("objective", ["min", "max"])
+@pytest.mark.parametrize("offsets, expected", TIE_CASES, ids=["chain", "gap"])
+def test_ties_are_within_tie_tol_of_the_optimum(objective, offsets, expected, monkeypatch):
+    # n = 5, m = 6 holds five connected classes, none regular; "max" sees
+    # the offsets mirrored, and the two classes past the offsets are 0.1
+    # worse than any of the first three.
+    cell = [(to_graph6(g), max(g.degrees) - min(g.degrees))
+            for g in enumerate_graphs(5, m=6, connected_only=True)]
+    assert len(cell) == 5 and all(gap > 0 for _, gap in cell)
+    sign = 1.0 if objective == "min" else -1.0
+    _force_cell_epsilons(monkeypatch, 6, [sign * x for x in offsets], sign * 0.1)
+    if objective == "min":
+        record = next(r for r in hong_search([5]) if r.m == 6)
+    else:
+        record = bell_max_search(5, 6)
+    ties = tuple(cell[k] for k in expected)
+    assert record.ties == ties
+    assert (record.graph6, record.degree_gap) == ties[0]
+    assert record.epsilon == pytest.approx(0.5 + sign * offsets[expected[0]], abs=1e-14)
+
+
+def _records_digest(records):
+    # SHA-256 of one repr((n, m, graph6, degree_gap, ties)) line per record;
+    # epsilon is left out, as its last bits depend on the LAPACK build
+    # (reevaluate_record holds it to within 1e-12).
+    digest = hashlib.sha256()
+    for r in records:
+        digest.update((repr((r.n, r.m, r.graph6, r.degree_gap, r.ties)) + "\n").encode("ascii"))
+    return digest.hexdigest()
+
+
+def test_hong_records_pinned_at_n_7_and_8():
+    records = hong_search([7, 8])
+    assert len(records) == 15 + 21
+    assert _records_digest(records) == (
+        "cdd539936c4b0918e0d7c121b64826395b11632339b02bbf215bafc3d01c8b20")
+
+
+def test_bell_records_pinned_up_to_n_8():
+    # Every (n, m) cell with 2 <= n <= 8 that holds a connected graph.
+    records = [bell_max_search(n, m) for n in range(2, 9)
+               for m in range(n - 1, n * (n - 1) // 2 + 1)]
+    assert len(records) == 1 + 2 + 4 + 7 + 11 + 16 + 22
+    assert _records_digest(records) == (
+        "15d1c5efdaeb290c991cf1f93bf228a96da20b44f31bfb33ac1e6221a0c088c8")
+
+
 # ---------------------------------------------------------------------------
 # Monotonicity grid
 # ---------------------------------------------------------------------------
@@ -313,6 +387,11 @@ def test_grid_clean_up_to_60():
     report = l_monotonicity_grid(7, 60)
     assert report["ok"]
     assert report["violations"] == []
+
+
+def test_grid_counts_the_cells_it_evaluates():
+    # n = 7: Dmax 2..5 for l_high and 2..6 for l_low; n = 8: 2..6 and 2..7.
+    assert l_monotonicity_grid(7, 8)["cells_checked"] == 4 + 5 + 5 + 6
 
 
 def test_grid_rejects_small_n():
