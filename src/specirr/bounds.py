@@ -12,10 +12,13 @@ compute: from a (B, n, n) adjacency stack it computes every quantity of a
 run of same-n graphs (degree statistics, class, connectivity, both
 spectral radii from one stacked eigensolve, the irregularity and every
 bound) as one int64, boolean or float column, with the scalar formulas'
-order of operations.  One rule, _applicability, decides from the
-statistics, class and connectivity which bounds apply (connectivity,
-regularity, vertex-count floors) and why the rest do not; bound_columns
-applies it as masks, leaving a gated bound NaN where it does not apply.
+order of operations.  The gates (connectivity, regularity, vertex-count
+floors) are stated twice.  _applicability decides them from one graph's
+statistics, class and connectivity, and gives each bound's note;
+bound_columns states them again as masks, leaving a gated bound NaN
+where it does not apply.  Tier-1 tests hold the masks equal to
+_applicability on every class n <= 7 (test_gates_on_every_class and
+_assert_row_is_reference in tests/test_bounds.py).
 compute groups its whole input by n before it cuts runs, so an unsorted
 input pays for at most one short run per n.
 
@@ -459,8 +462,9 @@ def bound_columns(
 
     Connectivity is tested once; with connected_only the disconnected
     rows are dropped before anything else is computed, and the row of a
-    SpectralConvergenceError counts the kept rows.  The gates are
-    _applicability's, as masks.
+    SpectralConvergenceError counts the kept rows.  The gates are a second
+    statement of _applicability's, as masks; tier-1 tests hold the two
+    equal.
     """
     connected = _connected_rows(stack)
     if connected_only:

@@ -22,6 +22,7 @@ the same BoundColumns, from runs of its input lines grouped by n.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
@@ -472,15 +473,24 @@ def hong_search(n_values: Iterable[int]) -> list[SearchRecord]:
             for record in _search(n, 0, len(_class_bits(n)), "min")]
 
 
+@functools.lru_cache(maxsize=None)
+def _edge_cells(n: int) -> tuple[int, ...]:
+    """cells[m] is the index of the first class of n with at least m edges,
+    for m = 0..n(n-1)/2 + 1, so classes cells[m]..cells[m + 1]-1 are those
+    with m edges (the classes are sorted by edge count).  Found once per n:
+    it sums the bits of every class."""
+    edges = _class_bits(n).sum(axis=1)
+    return tuple(np.searchsorted(edges, np.arange(n * (n - 1) // 2 + 2)).tolist())
+
+
 def bell_max_search(n: int, m: int) -> SearchRecord:
     """Maximal-irregularity connected graph with n (2..ENUMERATION_CAP)
     vertices and m edges: _search with "max" over the classes of that one
     cell.  Raises ValueError when the cell has no connected graph."""
     check_search_sizes([n])
     _check_edge_count(n, m)
-    edges = _class_bits(n).sum(axis=1)  # sorted, as the classes are
-    first, stop = np.searchsorted(edges, [m, m + 1]).tolist()
-    records = _search(n, first, stop, "max")
+    cells = _edge_cells(n)
+    records = _search(n, cells[m], cells[m + 1], "max")
     if not records:
         raise ValueError(f"no connected graph with n={n}, m={m}")
     return records[0]

@@ -39,10 +39,14 @@ of width 2^-40; its midpoint is within 2^-41 of the true radius.  Every
 row of a run is searched in lockstep.  Whether rho lies above a grid point
 is whether some minor is negative there, and a float64 Horner pass over
 the whole run decides almost every such sign, certified exact by a proven
-error bound (a floating-point filter, see _oracle_column).  Only a row with
-a sign that pass cannot certify is counted exactly, every minor by a
-homogeneous Horner pass over Python ints.  The eigensolve only seeds the
-search, so the oracle cross-validates it.
+error bound (a floating-point filter, see _oracle_column).  Only a probe
+with a sign that pass cannot certify is counted exactly, by the same
+Horner recurrence over the same coefficients, homogenized and run in
+Python ints (_count_above): the coefficients are held once, as the float
+pass's terms.  The eigensolve only seeds the search, so the oracle
+cross-validates it; _oracle_column itself makes no eigensolve and takes
+finite seeds only (the corpus passes rho that passed the residual gate),
+and spectral_oracle seeds a graph without an estimate.
 """
 
 from __future__ import annotations
@@ -265,38 +269,28 @@ def _leading_polynomials(stack: np.ndarray) -> np.ndarray:
     return coeffs
 
 
-def _homogenized(coeffs: np.ndarray) -> list[list[list[int]]]:
-    """Per matrix of (B, n + 1, n + 1) _leading_polynomials coefficients and
-    per k = 1..n, the Python-int coefficients e_(k,i) 2^(41i), i = 0..k, of
-    the homogenized D_k(num) = 2^(41k) p_k(num / 2^41)
-    = sum_i e_(k,i) num^(k-i) 2^(41i)."""
-    return [[[e << (_GRID_BITS + 1) * i for i, e in enumerate(row[:k + 1])]
-             for k, row in enumerate(rows) if k] for rows in coeffs.tolist()]
-
-
-def _count_above(minors: Sequence[Sequence[int]], num: int) -> int:
+def _count_above(terms: Sequence[Sequence[int]], num: int) -> int:
     """Number of eigenvalues of A above x = num / 2^41, for odd num, where
-    minors is A's entry of _homogenized.
+    terms is A's (n + 1, n) block of _horner_terms coefficients as Python
+    ints: terms[i][k - 1] is the coefficient of t^(n-i) in p_k.
 
     By Sylvester's law of inertia this is the number of negative
     eigenvalues of the integer matrix M = num*I - 2^41*A, which is the
     number of sign changes in 1, D1, ..., Dn, the leading principal minors
-    of M.  Dk = 2^(41k) p_k(x) = sum_i e_(k,i) num^(k-i) 2^(41i), one
-    homogeneous Horner pass over Python ints per minor; every minor is
-    evaluated and checked.  None vanishes: every eigenvalue of the integer
-    symmetric A_k is an algebraic integer, hence never the non-integer
-    rational x.
+    of M, where Dk = 2^(41k) p_k(x).  The float pass's Horner recurrence
+    over i, homogenized (v <- v num + terms[i] 2^(41i)) and run in Python
+    ints, yields 2^(41n) p_k(x) = 2^(41(n-k)) Dk for every k at once, which
+    has the sign of Dk; every minor is evaluated and checked.  None
+    vanishes: every eigenvalue of the integer symmetric A_k is an algebraic
+    integer, hence never the non-integer rational x.
     """
-    changes, prev = 0, 1
-    for row in minors:
-        value = 0
-        for coefficient in row:
-            value = value * num + coefficient
-        if value == 0:
-            raise AssertionError("a leading minor vanished at a non-integer point")
-        changes += (value < 0) != (prev < 0)
-        prev = value
-    return changes
+    values = [0] * len(terms[0])
+    for i, row in enumerate(terms):
+        values = [value * num + (c << (_GRID_BITS + 1) * i) for value, c in zip(values, row)]
+    if 0 in values:
+        raise AssertionError("a leading minor vanished at a non-integer point")
+    negative = [False] + [value < 0 for value in values]
+    return sum(a != b for a, b in zip(negative, negative[1:]))
 
 
 def spectral_oracle(g: Graph, estimate: float | None = None) -> float:
@@ -309,20 +303,24 @@ def spectral_oracle(g: Graph, estimate: float | None = None) -> float:
     (about 4.5e-13) of the true radius.  No grid point is an integer, so
     no leading minor can vanish.  The estimate, a float rho already
     computed, only seeds the search; the result does not depend on it.
-    Without one, or with a NaN or infinite one, one eigensolve seeds it.
-    A disconnected graph or a repeated top eigenvalue needs no special case.
+    Without one, or with a NaN or infinite one, the top eigenvalue of one
+    eigensolve seeds it, ungated: a residual _solve_stack would reject
+    still seeds the search.  This is the oracle's only eigensolve.  A
+    disconnected graph or a repeated top eigenvalue needs no special case.
     """
-    seed = math.nan if estimate is None else estimate
-    return float(_oracle_column(_adjacency_stack([g]), np.array([seed], dtype=float))[0])
+    stack = _adjacency_stack([g])
+    if estimate is None or not math.isfinite(estimate):
+        estimate = np.linalg.eigvalsh(stack.astype(float))[0, -1]
+    return float(_oracle_column(stack, np.array([estimate], dtype=float))[0])
 
 
 def _oracle_column(stack: np.ndarray, estimates: np.ndarray) -> np.ndarray:
     """spectral_oracle of each matrix of a (B, n, n) 0/1 adjacency stack,
     seeded by the matching estimate: j / 2^40 for the grid index j with
-    x(j-1) < rho < x(j), where x(j) = (2j + 1) / 2^41.
+    x(j-1) < rho < x(j), where x(j) = (2j + 1) / 2^41.  It makes no
+    eigensolve: every estimate must be finite (ValueError otherwise), and
+    spectral_oracle seeds a missing one.
 
-    A NaN or infinite estimate is replaced by that matrix's top eigenvalue,
-    ungated: a residual the eigensolve would reject still seeds the search.
     Each seed is round(estimate * 2^40), clamped to [-n 2^40, n 2^40]:
     every eigenvalue lies in [-(n-1), n-1], so the clamp only saves probes.
     All rows are searched in lockstep, one probe per unfinished row and
@@ -357,31 +355,26 @@ def _oracle_column(stack: np.ndarray, estimates: np.ndarray) -> np.ndarray:
       clamped seeds keep every probe within a few n of 0, so nothing
       overflows either.
 
-    A row for which any sign stays undecided is counted exactly by
-    _count_above on its _homogenized entry, made on that row's first such
-    probe; a minor that truly vanished therefore still raises there.
+    A probe at which any sign of a row stays undecided is counted exactly
+    by _count_above, on that row's Horner terms converted to Python ints:
+    the same recurrence, exact, so a minor that truly vanished still raises
+    there.
     """
     size, n = stack.shape[:2]
     if n > ORACLE_MAX_N:
         raise ValueError(f"oracle capped at n <= {ORACLE_MAX_N}, got {n}")
-    unseeded = ~np.isfinite(estimates)
-    if unseeded.any():
-        estimates = estimates.copy()
-        estimates[unseeded] = np.linalg.eigvalsh(stack[unseeded].astype(float))[:, -1]
-    coeffs = _leading_polynomials(stack)
-    terms = _horner_terms(coeffs)
-    every = np.arange(size)
-    minors = {}  # row -> its _homogenized entry, for the rows the float pass leaves undecided
+    if not np.isfinite(estimates).all():
+        raise ValueError("oracle estimates must be finite")
+    terms = _horner_terms(_leading_polynomials(stack))
 
     def above(rows, j: np.ndarray) -> np.ndarray:
         # Whether rho > x(j) for the matrices rows (an index array or a
         # slice) picks out, along j's last axis.
-        negative, decided = _float_signs(terms[:, rows], j)
+        probed = terms[:, rows]
+        negative, decided = _float_signs(probed, j)
         for index in map(tuple, np.argwhere(~decided).tolist()):
-            row = int(every[rows][index[-1]])
-            if row not in minors:
-                minors[row] = _homogenized(coeffs[row:row + 1])[0]
-            negative[index] = _count_above(minors[row], 2 * int(j[index]) + 1) > 0
+            exact = probed[:, index[-1], 0].astype(np.int64).tolist()
+            negative[index] = _count_above(exact, 2 * int(j[index]) + 1) > 0
         return negative
 
     grid = float(1 << _GRID_BITS)

@@ -379,6 +379,23 @@ def test_bell_records_pinned_up_to_n_8():
         "15d1c5efdaeb290c991cf1f93bf228a96da20b44f31bfb33ac1e6221a0c088c8")
 
 
+def test_bell_cells_are_found_once_per_n():
+    # A cell's classes are found from the edge count of every class of n:
+    # one pass over all m of n = 8 must find them once, not once per call.
+    harness._edge_cells.cache_clear()
+    for m in range(8 * 7 // 2 + 1):
+        if m < 7:
+            with pytest.raises(ValueError, match="no connected graph"):
+                bell_max_search(8, m)
+        else:
+            bell_max_search(8, m)
+    info = harness._edge_cells.cache_info()
+    assert (info.misses, info.hits) == (1, 28)
+    cells = harness._edge_cells(8)
+    assert [cells[m + 1] - cells[m] for m in range(29)] == [
+        sum(1 for _ in enumerate_graphs(8, m)) for m in range(29)]
+
+
 # ---------------------------------------------------------------------------
 # Monotonicity grid
 # ---------------------------------------------------------------------------

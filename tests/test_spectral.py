@@ -39,7 +39,6 @@ from specirr.spectral import (
     _adjacency_stack,
     _count_above,
     _float_signs,
-    _homogenized,
     _horner_terms,
     _leading_polynomials,
     _oracle_column,
@@ -64,7 +63,9 @@ def _adjacency_matrix(g):
 
 
 def _minors(g):
-    return _homogenized(_leading_polynomials(_adjacency_stack([g])))[0]
+    """g's aligned Horner terms as Python ints, the input of _count_above."""
+    terms = _horner_terms(_leading_polynomials(_adjacency_stack([g])))
+    return terms[:, 0, 0].astype(np.int64).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -454,6 +455,29 @@ def test_oracle_falls_back_to_exact_counts_on_small_classes(monkeypatch):
             patch.setattr(spectral, "_count_above", counted)
             assert _oracle_column(stack, rho).tolist() == expected
     assert 0 < len(calls) < len(graphs) // 10, len(calls)
+
+
+def test_oracle_column_makes_no_eigensolve(monkeypatch):
+    # The oracle certifies the eigensolve, so it must not call one: with
+    # numpy's eigensolvers patched to raise, every class n <= 7 still gets
+    # its bracket, from eigh seeds computed beforehand and from wrong finite
+    # seeds; a non-finite seed is refused.
+    runs = [list(enumerate_graphs(n)) for n in range(1, 8)]
+    stacks = [_adjacency_stack(run) for run in runs]
+    seeds = [np.linalg.eigh(stack.astype(float))[0][:, -1] for stack in stacks]
+    expected = [[spectral_oracle(g) for g in run] for run in runs]
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the oracle called an eigensolver")
+
+    monkeypatch.setattr(np.linalg, "eigh", refused)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refused)
+    for stack, rho, want in zip(stacks, seeds, expected):
+        for estimates in (rho, rho + 1e-6, rho - 0.7, np.zeros_like(rho), np.full_like(rho, -1e300)):
+            assert _oracle_column(stack, estimates).tolist() == want
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            _oracle_column(stacks[2], np.full(len(runs[2]), bad))
 
 
 def _fraction_det(rows):
