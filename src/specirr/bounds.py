@@ -65,8 +65,8 @@ from .spectral import (
 def epsilon(g: Graph, tol: float = DEFAULT_TOL) -> float:
     """Collatz-Sinogowitz irregularity: spectral radius minus average degree.
 
-    The true value is nonnegative, and zero exactly for regular graphs;
-    the float can land a few ulps below 0.
+    The true value is nonnegative, and zero exactly for regular graphs,
+    whose float is 0.0 too: a d-regular graph gets rho = d exactly.
     """
     return _epsilon(adjacency_spectral_radius(g, tol).rho, g.m, g.n)
 

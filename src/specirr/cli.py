@@ -15,7 +15,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
 from functools import partial
 from typing import Iterator, Sequence
 
@@ -99,19 +98,20 @@ def report_row(g: Graph, graph6: str, tol: float = DEFAULT_TOL) -> dict:
     return _report_rows(bound_columns(_adjacency_stack([g]), tol), [graph6])[0]
 
 
-def _round_value(value, precision: str):
-    # Six significant digits (round-half-even via float formatting) by
-    # default; exact integers and strings are never rounded.
-    if not isinstance(value, float) or precision == "full":
+def _round_value(value):
+    # Six significant digits (round-half-even via float formatting);
+    # exact integers and strings are never rounded.
+    if not isinstance(value, float):
         return value
     return float(f"{value:.6g}")
 
 
 def _rounded_rows(rows: list[dict], columns: Sequence[str], precision: str) -> list[dict]:
-    return [
-        {col: _round_value(row[col], precision) for col in columns}
-        for row in rows
-    ]
+    # Every row holds exactly the columns, in order, so at full precision,
+    # where nothing is rounded, the rows are written as they are.
+    if precision == "full":
+        return rows
+    return [{col: _round_value(row[col]) for col in columns} for row in rows]
 
 
 def _emit(rows: list[dict], columns: Sequence[str], fmt: str, precision: str, out) -> None:
@@ -274,7 +274,8 @@ def cmd_verify(args) -> int:
         checked += count
         violations += part
     violations.sort(key=lambda v: (v.graph6, v.check_name))
-    rows = [{"check": v.check_name, **asdict(v)} for v in violations]
+    rows = [{"check": v.check_name, **{col: getattr(v, col) for col in VIOLATION_COLUMNS[1:]}}
+            for v in violations]
     _write_output(rows, VIOLATION_COLUMNS, args.format, args.precision, args.violations_file)
     print(f"checked {checked} graphs, {len(violations)} violations", file=sys.stderr)
     return EXIT_VIOLATIONS if violations else EXIT_OK

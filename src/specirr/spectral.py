@@ -1,26 +1,30 @@
 """Spectral radius computation for small graphs.
 
 Two independent routes are provided.  The production path is a dense
-symmetric eigensolve (LAPACK via numpy) of the adjacency matrix: its top
-eigenpair gives rho, accepted only when the eigenvector residual
-||Ax - rho x|| is within the requested tolerance, and the top eigenvalue of
-A + D gives the signless-Laplacian radius.  A disconnected graph needs no
-special handling, since the spectrum of its block-diagonal matrix is the
-union of the components' spectra.
+symmetric eigenvalue solve (LAPACK via numpy) of the adjacency matrix: its
+top eigenvalue gives rho, accepted only when the residual ||Ax - rho x||
+of a unit vector x is within the requested tolerance, and the top
+eigenvalue of A + D gives the signless-Laplacian radius.  x comes from one
+linear solve, (sI - A) x = 1 with s just above rho, which makes x lean to
+the top eigenvector.  A d-regular graph gets rho = d and q1 = 2d exactly.
+A disconnected graph needs no special handling, since the spectrum of its
+block-diagonal matrix is the union of the components' spectra.
 
 Graphs are evaluated in runs.  A run is up to run_length(n) graphs with
 the same vertex count n; a single graph is a run of one.  Each run gets one
-np.linalg.eigh on its (B, n, n) adjacency stack, one vectorised residual
-gate over every row (a failure raises SpectralConvergenceError for the
-first failing row, and carries that row's index), and, only when q1 is
-wanted, one eigvalsh on the stack of A + D.  LAPACK solves each matrix of
-a stack as it would solve it alone, so no value depends on how the input
-was cut into runs.  run_length bounds a run's arrays, and runs are cut
-only here: split_rows cuts a sequence already known to share n (a level of
-the stored classes for verify and search, compute's input lines grouped by
-n), and split_runs lazily cuts stretches of consecutive same-n Graphs (for
-spectral_runs, bounds.build_contexts and harness.verify_graphs).  The
-gated eigensolve of a run's stack is _solve_stack, which returns columns:
+np.linalg.eigvalsh and one np.linalg.solve on its (B, n, n) adjacency
+stack, one vectorised residual gate over every row, and, only when q1 is
+wanted, one eigvalsh on the stack of A + D.  Only a row that fails the
+gate is solved again, by np.linalg.eigh, whose unit top eigenvector gives
+its residual; a failure there raises SpectralConvergenceError for the
+first failing row, and carries that row's index.  LAPACK solves each
+matrix of a stack as it would solve it alone, so no value depends on how
+the input was cut into runs.  run_length bounds a run's arrays, and runs
+are cut only here: split_rows cuts a sequence already known to share n (a
+level of the stored classes for verify and search, compute's input lines
+grouped by n), and split_runs lazily cuts stretches of consecutive same-n
+Graphs (for spectral_runs, bounds.build_contexts and harness.verify_graphs).
+The gated eigensolve of a run's stack is _solve_stack, which returns columns:
 bounds.bound_columns reads them, and spectral_runs turns them into one
 SpectralResult per graph.  adjacency_spectral_radius and spectral_summary
 are spectral_runs on a run of one.
@@ -84,10 +88,11 @@ class SpectralResult:
 
     rho is the adjacency spectral radius; q1 the signless-Laplacian radius
     when it was requested alongside (None otherwise).  residual is
-    ||Ax - rho x|| for the unit top eigenvector x.  iterations is always 1,
-    one eigensolve; it is kept because the benchmark's tracer
-    (perfbench/spans.py) reads it, and goes with the next change to that
-    benchmark's metrics.
+    ||Ax - rho x|| for the unit vector x of the gate (_solve_stack): the
+    shifted solve's, or eigh's top eigenvector where that one failed the
+    gate.  iterations is always 1, one eigensolve; it is kept because the
+    benchmark's tracer (perfbench/spans.py) reads it, and goes with the next
+    change to that benchmark's metrics.
     """
 
     rho: float
@@ -155,34 +160,64 @@ def _solve_stack(
     stack: np.ndarray, tol: float, with_q1: bool
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
     """(rho, q1, residual) columns of a (B, n, n) stack of 0/1 adjacency
-    matrices: the top eigenpair of each, checked by its residual, and the
+    matrices: the top eigenvalue of each, checked by a residual, and the
     signless-Laplacian radius when with_q1 is set (None otherwise).
 
-    For a symmetric matrix the residual ||Ax - rho x|| of a unit vector x
-    bounds the distance from rho to the nearest eigenvalue.  A residual
-    above tol * max(1, rho) raises SpectralConvergenceError for the first
-    such row, with row set to its index.  The stack is not modified.
+    rho is the top value of one eigvalsh of the stack.  The residual is
+    ||Ax - rho x|| for the unit vector x along the solution of
+    (sI - A) x = 1, s = rho + 1e-13 * max(1, rho), one batched solve: s
+    sits just above rho, so x leans to the top eigenvector.  For a
+    symmetric matrix the residual of a unit vector bounds the distance
+    from rho to the nearest eigenvalue.  Only a row whose residual is not
+    within tol * max(1, rho) (or every row, when the solve finds a shifted
+    matrix singular) is solved again by eigh, which gives its rho and the
+    residual of its unit top eigenvector; a row still above the bound
+    raises SpectralConvergenceError for the first such row, with row set
+    to its index.  A regular row, all row sums d, gets rho = d and
+    q1 = 2d exactly: both are theorems.  The stack is not modified.
     """
     adj = stack.astype(float)
-    values, vectors = np.linalg.eigh(adj)
-    rho, x = values[:, -1], vectors[:, :, -1:]
-    d = adj @ x - rho[:, None, None] * x
-    # sqrt(d^T d) through BLAS, as np.linalg.norm takes one vector's norm.
-    residual = np.sqrt(np.swapaxes(d, 1, 2) @ d)[:, 0, 0]
-    failed = np.flatnonzero(residual > tol * np.maximum(1.0, rho))
+    n = adj.shape[1]
+    rho = np.linalg.eigvalsh(adj)[:, -1]
+    shift = rho + 1e-13 * np.maximum(1.0, rho)
+    try:
+        # b as a (B, n, 1) stack: numpy < 2 reads a 2-d b as a stack of vectors.
+        x = np.linalg.solve(shift[:, None, None] * np.eye(n) - adj, np.ones(rho.shape + (n, 1)))
+        with np.errstate(invalid="ignore"):  # a zero or non-finite x: its residual is NaN
+            residual = _residual(adj, rho, x / np.sqrt(np.swapaxes(x, 1, 2) @ x))
+    except np.linalg.LinAlgError:
+        residual = np.full_like(rho, np.inf)
+    # "Not within" also sends a NaN residual to eigh.
+    failed = np.flatnonzero(~(residual <= tol * np.maximum(1.0, rho)))
     if failed.size:
-        i = failed[0]
-        raise SpectralConvergenceError(
-            f"spectral residual {residual[i]:.3e} above tolerance {tol:.3e} "
-            f"(relative to rho = {rho[i]:.6g})",
-            row=int(i),
-        )
+        values, vectors = np.linalg.eigh(adj[failed])
+        rho[failed] = values[:, -1]
+        residual[failed] = _residual(adj[failed], rho[failed], vectors[:, :, -1:])
+        above = np.flatnonzero(residual[failed] > tol * np.maximum(1.0, rho[failed]))
+        if above.size:
+            i = failed[above[0]]
+            raise SpectralConvergenceError(
+                f"spectral residual {residual[i]:.3e} above tolerance {tol:.3e} "
+                f"(relative to rho = {rho[i]:.6g})",
+                row=int(i),
+            )
+    degrees = adj.sum(axis=2)
+    regular = (degrees == degrees[:, :1]).all(axis=1)
+    rho[regular] = degrees[regular, 0]
     q1 = None
     if with_q1:
-        diagonal = np.arange(adj.shape[1])
-        adj[:, diagonal, diagonal] = adj.sum(axis=2)  # A + D
+        diagonal = np.arange(n)
+        adj[:, diagonal, diagonal] = degrees  # A + D
         q1 = np.linalg.eigvalsh(adj)[:, -1]
+        q1[regular] = 2 * degrees[regular, 0]
     return rho, q1, residual
+
+
+def _residual(adj: np.ndarray, rho: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """||Ax - rho x|| of each (n, 1) vector of a (B, n, 1) stack x."""
+    d = adj @ x - rho[:, None, None] * x
+    # sqrt(d^T d) through BLAS, as np.linalg.norm takes one vector's norm.
+    return np.sqrt(np.swapaxes(d, 1, 2) @ d)[:, 0, 0]
 
 
 def spectral_runs(

@@ -30,6 +30,7 @@ from specirr import (
     main_bound,
     nikiforov_bound,
     path,
+    prism,
     signless_laplacian_radius,
     star,
     subdivided_prism,
@@ -68,6 +69,21 @@ WITNESS_STATS = degree_stats(WITNESS)
                          ids=["C4", "C7", "K3", "K6"])
 def test_epsilon_zero_on_regular(g):
     assert abs(epsilon(g)) <= 1e-9
+
+
+def test_regular_rows_are_exact():
+    # A d-regular graph has rho = d and q1 = 2d, and its columns give both
+    # exactly, so eps is 0.0, never a few ulps off it: every regular class
+    # n <= 8, and the cycle, complete and prism families up to n = 62.
+    graphs = [g for n in range(1, 9) for g in enumerate_graphs(n)
+              if classify(g) is RegularityClass.REGULAR]
+    assert len(graphs) == 48  # disconnected ones included
+    graphs += [cycle(n) for n in range(3, 63)] + [complete(n) for n in range(1, 63)]
+    graphs += [prism(k) for k in range(3, 32)]
+    for g, rep in zip(graphs, build_contexts(graphs), strict=True):
+        d = rep.stats.max_degree
+        assert rep.regularity is RegularityClass.REGULAR, g
+        assert (rep.rho, rep.q1, rep.epsilon) == (d, 2 * d, 0.0), g
 
 
 def test_epsilon_star():
@@ -426,19 +442,23 @@ FLOAT_FIELDS = ("rho", "q1", "epsilon", "nikiforov", "main", "cg_degree", "cgs",
 
 def _reference(g):
     # g's record written out from the public scalar formulas and a
-    # per-graph eigensolve, each gated bound None where the one
+    # per-graph eigvalsh (rho = d and q1 = 2d on a d-regular graph, exactly),
+    # each gated bound None where the one
     # applicability rule marks it inapplicable (the only note a gated
     # field can get).  Returns the degree statistics, class, connectivity,
     # notes and the float of every field of FLOAT_FIELDS.
     s, cls, connected = degree_stats(g), classify(g), is_connected(g)
     notes = _applicability(s, cls, connected)
     a = _adjacency_stack([g])[0].astype(float)
-    rho = float(np.linalg.eigh(a)[0][-1])
+    rho = float(np.linalg.eigvalsh(a)[-1])
     a[np.diag_indices(g.n)] = a.sum(axis=1)  # A + D
+    q1 = float(np.linalg.eigvalsh(a)[-1])
+    if cls is RegularityClass.REGULAR:  # a d-regular graph has rho = d and q1 = 2d
+        rho, q1 = float(s.max_degree), 2.0 * s.max_degree
     var_lb, var_ub = map(float, variance_sandwich(s))
     values = {
         "rho": rho,
-        "q1": float(np.linalg.eigvalsh(a)[-1]),
+        "q1": q1,
         "epsilon": rho - 2 * s.m / s.n,
         "nikiforov": nikiforov_bound(s),
         "main": main_bound(s),

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import specirr
@@ -565,6 +566,27 @@ def test_malformed_line_before_a_non_convergence(strict, capsys):
         assert len(lines) == 1
     else:
         assert len(lines) == 2 and lines[1].startswith("error: spectral residual ")
+
+
+def test_a_tol_too_tight_for_eigh_exits_3_on_its_line(monkeypatch, capsys):
+    # At --tol 1e-300 the shifted solve fails on every graph below but the
+    # edgeless one (its residual is 0), and so does eigh, which re-solves
+    # the failing rows.  The n = 7 run [edgeless, witness, K7] fails first on
+    # its second row, input line 3: the skipped line 2 is reported before it.
+    solved = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: solved.append(len(a)) or eigh(a))
+    args = ["compute", "--tol", "1e-300"]
+    for text in ["F????", "!!!bad!!!", WITNESS_G6, "F~~~w"]:
+        args += ["--inline", text]
+    code, out, err = run_cli(args, capsys)
+    assert (code, out) == (3, "")
+    lines = err.splitlines()
+    assert len(lines) == 2
+    assert lines[0] == "line 2: graph6 string contains bytes outside ASCII 63..126: '!!!bad!!!'"
+    assert lines[1].startswith("error: spectral residual ")
+    assert lines[1].endswith("(relative to rho = 2.90417)")
+    assert solved  # eigh re-solved the failing rows
 
 
 def _compute_bytes(data, source, args, tmp_path, monkeypatch, capsys):

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import math
+import random
 
 import numpy as np
 import pytest
@@ -22,10 +23,14 @@ from specirr import (
 from specirr import harness, spectral
 from specirr.bounds import bound_columns, l_high_exact
 from specirr.graphs import (
+    _bits_stack,
+    _class_bits,
     canonical_form,
+    cycle,
     enumerate_graphs,
     from_edges,
     path,
+    prism,
     subdivided_prism,
 )
 from specirr.cli import main
@@ -38,7 +43,7 @@ from specirr.harness import (
     reevaluate_record,
     select_checks,
 )
-from specirr.spectral import _adjacency_stack
+from specirr.spectral import _adjacency_stack, split_rows
 
 PAW = from_edges(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
 
@@ -363,11 +368,39 @@ def _records_digest(records):
     return digest.hexdigest()
 
 
+HONG_7_8_DIGEST = "cdd539936c4b0918e0d7c121b64826395b11632339b02bbf215bafc3d01c8b20"
+
+
 def test_hong_records_pinned_at_n_7_and_8():
     records = hong_search([7, 8])
     assert len(records) == 15 + 21
-    assert _records_digest(records) == (
-        "cdd539936c4b0918e0d7c121b64826395b11632339b02bbf215bafc3d01c8b20")
+    assert _records_digest(records) == HONG_7_8_DIGEST
+
+
+def test_no_eigh_on_the_corpus_and_stream_paths(tmp_path, monkeypatch):
+    # eigh only re-solves a row whose shifted solve fails the residual gate.
+    # With it refused, bound_columns runs on every class n <= 8, the Hong
+    # search gives its pinned records, and compute runs on a stream of
+    # random graphs, paths, cycles and prisms up to n = 62.
+    def refused(a):
+        raise AssertionError("eigh called")
+
+    monkeypatch.setattr(np.linalg, "eigh", refused)
+    for n in range(1, 9):
+        bits = _class_bits(n)
+        for index in split_rows(np.arange(len(bits)), n):
+            bound_columns(_bits_stack(n, bits[index]))
+    records = hong_search(range(2, 9))
+    assert _records_digest([r for r in records if r.n >= 7]) == HONG_7_8_DIGEST
+    rng = random.Random(62)
+    stream = [from_edges(n, [(i, j) for j in range(n) for i in range(j) if rng.random() < p])
+              for n in range(5, 63) for p in (4 / n, 0.5, 0.8)]
+    stream += [path(n) for n in range(5, 63)] + [cycle(n) for n in range(5, 63)]
+    stream += [prism(k) for k in range(3, 32)]
+    rng.shuffle(stream)
+    source = tmp_path / "stream.g6"
+    source.write_text("".join(to_graph6(g) + "\n" for g in stream), encoding="ascii")
+    assert main(["compute", str(source), "--out", str(tmp_path / "rows.csv")]) == 0
 
 
 def test_bell_records_pinned_up_to_n_8():

@@ -19,7 +19,7 @@ def test_library_quick_start_prints_its_documented_values():
     done = subprocess.run([sys.executable, "-c", block], cwd=root, capture_output=True,
                           text=True, check=True, timeout=300)
     assert done.stdout.splitlines() == [
-        "0.047027641551181",
+        "0.047027641551180555",
         "0.0369290573372206",
         "5 4 DqG 1",
         "5 5 DiK 2",

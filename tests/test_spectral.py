@@ -30,11 +30,12 @@ from specirr import (
     subdivided_prism,
 )
 from specirr.bounds import build_contexts
-from specirr.graphs import GRAPH6_MAX_N
+from specirr.graphs import GRAPH6_MAX_N, _bits_stack, _class_bits
 from specirr import spectral
 from specirr.harness import build_context, verify_graphs
 from specirr.spectral import (
     CHUNK,
+    DEFAULT_TOL,
     ORACLE_MAX_N,
     _adjacency_stack,
     _count_above,
@@ -43,6 +44,7 @@ from specirr.spectral import (
     _leading_polynomials,
     _oracle_column,
     run_length,
+    split_rows,
     spectral_runs,
 )
 
@@ -188,14 +190,14 @@ def test_runs_split_at_each_change_of_n_and_at_chunk(monkeypatch):
     rng = random.Random(14)
     graphs = (list(enumerate_graphs(7))[:300] + list(enumerate_graphs(6))[:70]
               + [_random_graph(rng, 14) for _ in range(70)])
-    shapes = {"eigh": [], "eigvalsh": []}  # the stack each call solves
+    shapes = {"eigh": [], "eigvalsh": [], "solve": []}  # the stack each call solves
 
     def counted(name):
         solve = getattr(np.linalg, name)
 
-        def call(a):
+        def call(a, *args):
             shapes[name].append(a.shape)
-            return solve(a)
+            return solve(a, *args)
         return call
 
     for name in shapes:
@@ -208,10 +210,14 @@ def test_runs_split_at_each_change_of_n_and_at_chunk(monkeypatch):
 
     runs = cut(300, 7) + cut(70, 6) + cut(70, 14)
     assert runs == [(256, 7, 7), (44, 7, 7), (70, 6, 6), (64, 14, 14), (6, 14, 14)]
-    assert shapes == {"eigh": runs, "eigvalsh": []}  # q1 not asked for: no eigvalsh
-    shapes["eigh"].clear()
+    # q1 not asked for: one eigvalsh and one shifted solve per run, and no
+    # eigh, which only re-solves a row whose residual fails the gate.
+    assert shapes == {"eigh": [], "eigvalsh": runs, "solve": runs}
+    for calls in shapes.values():
+        calls.clear()
     assert len(list(build_contexts(graphs))) == 440
-    assert shapes == {"eigh": runs, "eigvalsh": runs}
+    # With q1, a second eigvalsh per run, on A + D.
+    assert shapes == {"eigh": [], "eigvalsh": [r for r in runs for _ in "AD"], "solve": runs}
 
 
 def test_runs_are_cut_lazily():
@@ -239,6 +245,60 @@ def test_residual_gate_of_a_run_names_its_first_failing_graph(connected_only):
     with pytest.raises(SpectralConvergenceError) as raised:
         list(spectral_runs(run, tol=1e-300))
     assert str(raised.value) == failing[0]
+
+
+def test_the_shifted_solve_passes_the_gate_without_eigh(monkeypatch):
+    # Every class n <= 8, disconnected ones included, and random graphs up to
+    # n = 62: the vector of the shifted solve passes the residual gate by
+    # itself, so eigh, the gate's fallback, is never called.
+    stacks = []
+    for n in range(1, 9):
+        bits = _class_bits(n)
+        stacks += [_bits_stack(n, bits[index]) for index in split_rows(np.arange(len(bits)), n)]
+    rng = np.random.default_rng(62)
+    for n in range(10, 63, 4):
+        upper = np.triu(rng.random((16, n, n)) < rng.random((16, 1, 1)), 1)
+        stacks.append((upper | upper.transpose(0, 2, 1)).astype(np.uint8))
+
+    def refused(a):
+        raise AssertionError("eigh called")
+
+    monkeypatch.setattr(np.linalg, "eigh", refused)
+    for stack in stacks:
+        rho, _, residual = spectral._solve_stack(stack, DEFAULT_TOL, with_q1=True)
+        assert (residual <= DEFAULT_TOL * np.maximum(1.0, rho)).all()
+
+
+@pytest.mark.parametrize("broken", ["unit vector", "zero vector", "singular"])
+def test_a_failed_shifted_solve_falls_back_to_eigh(broken, monkeypatch):
+    # A solve whose vector fails the gate (e_1, or 0, which gives a NaN
+    # residual), or which finds a shifted matrix singular, sends its rows to
+    # eigh: a non-regular row gets eigh's top eigenvalue, bit for bit, and a
+    # regular row its degree; q1 does not depend on the solve.
+    rng = random.Random(9)
+    graphs = list(enumerate_graphs(6)) + [_random_graph(rng, 14) for _ in range(20)]
+    solved = list(spectral_runs(graphs, with_q1=True))
+    top = [np.linalg.eigh(_adjacency_stack([g]).astype(float))[0][0, -1] for g in graphs]
+
+    def solve(a, b):
+        if broken == "singular":
+            raise np.linalg.LinAlgError("Singular matrix")
+        x = np.zeros(a.shape[:2] + (1,))
+        x[:, 0] = broken == "unit vector"
+        return x
+
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    moved = 0
+    for (g, result), (_, before), rho in zip(spectral_runs(graphs, with_q1=True), solved, top):
+        s = degree_stats(g)
+        if s.max_degree == s.min_degree:
+            assert result.rho == before.rho == s.max_degree
+        else:
+            assert result.rho.hex() == rho.hex(), g
+            moved += before.rho != rho
+        assert result.q1 == before.q1
+        assert result.residual <= DEFAULT_TOL * max(1.0, result.rho)
+    assert moved  # eigvalsh and eigh differ in the last bits on some rows
 
 
 def test_relabel_invariance():
