@@ -50,7 +50,6 @@ from .graphs import (
 )
 from .spectral import (
     DEFAULT_TOL,
-    _adjacency_stack,
     _solve_stack,
     adjacency_spectral_radius,
     check_tolerance,
@@ -358,8 +357,8 @@ def build_contexts(graphs: Iterable[Graph], tol: float = DEFAULT_TOL) -> Iterato
     row.  tol is checked on the call; a run is evaluated when its first
     report is asked for."""
     check_tolerance(tol)
-    return (report for run in split_runs(graphs)
-            for report in _reports(run, bound_columns(_adjacency_stack(run), tol)))
+    return (report for run, stack in split_runs(graphs)
+            for report in _reports(run, bound_columns(stack, tol)))
 
 
 # BoundReport's float fields, rho through var_ub, each a BoundColumns column.

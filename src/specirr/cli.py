@@ -383,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strict", action="store_true",
                    help="abort on the first unparsable line instead of skipping")
     p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL,
-                   help="eigenvector residual bound (finite, > 0)")
+                   help="spectral residual bound, relative to max(1, rho) (finite, > 0)")
     add_output_flags(p)
     p.set_defaults(fn=cmd_compute)
 
@@ -396,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--only", help="comma-separated check or group names "
                                   f"(groups: {', '.join(CHECK_GROUPS)})")
     p.add_argument("--violations-file", default="violations.csv",
-                   help="always written, possibly empty (default violations.csv)")
+                   help="written, possibly empty, on exit 0 or 1 (default violations.csv)")
     p.add_argument("--jobs", type=_job_count, default=1,
                    help="worker processes, at most the CPU count (default 1)")
     p.add_argument("--self-test", action="store_true",

@@ -8,8 +8,10 @@ forms under isomorphism, and exhaustive enumeration of isomorphism classes
 up to ENUMERATION_CAP vertices, kept on disk under pinned SHA-256 digests.
 For evaluation in bulk, graph6 texts with one n are decoded together
 into an array of upper-triangle bits (_graph6_bits): a stored level once
-(_class_bits), compute's input a run at a time.  Stacks of adjacency
-matrices are cut from those bits without building a Graph.
+(_class_bits), compute's input a run at a time.  A level's classes with m
+edges are one slice of it, found by its edge-count index (_edge_cells).
+Stacks of adjacency matrices are cut from those bits without building a
+Graph.
 """
 
 from __future__ import annotations
@@ -134,10 +136,6 @@ def _graph6(n: int, bits: int) -> str:
     for k in range(nbits + pad - 6, -1, -6):
         chars.append(chr(((bits >> k) & 0x3F) + 63))
     return "".join(chars)
-
-
-def _graph6_edge_count(text: str) -> int:
-    return sum((ord(c) - 63).bit_count() for c in text[1:])
 
 
 def to_graph6(g: Graph) -> str:
@@ -739,14 +737,14 @@ def _augment_classes(n: int) -> tuple[str, ...]:
     of v*); restricted to the parent it is an automorphism mapping S to
     S', so only one of them was tried.
 
-    The result is sorted by (edge count, text), the same order as (edge
-    count, canonical_form): both pack one bit vector big-endian with equal
-    padding.
+    The result is sorted by (edge count, text), the edge count being the
+    bit count of the child's blocks; this is the same order as (edge count,
+    canonical_form): both pack one bit vector big-endian with equal padding.
     """
     if n == 1:
         return (_graph6(1, 0),)
     top = n - 1
-    forms: list[str] = []
+    children: list[tuple[int, str]] = []  # (edge count, text)
     for parent in _class_forms(top):
         pmasks = parse_graph6(parent).neighbor_masks
         pdegs = [pm.bit_count() for pm in pmasks]
@@ -778,8 +776,9 @@ def _augment_classes(n: int) -> tuple[str, ...]:
                 blocks, order, generators = _canonical_blocks(masks, n)
                 last = max((v for v, sig in sigs.items() if sig == least), key=order.index)
                 if 1 << top in _orbit(1 << last, generators):
-                    forms.append(_graph6(n, _block_bits(blocks)))
-    return tuple(sorted(forms, key=lambda text: (_graph6_edge_count(text), text)))
+                    bits = _block_bits(blocks)
+                    children.append((bits.bit_count(), _graph6(n, bits)))
+    return tuple(text for _, text in sorted(children))
 
 
 @functools.lru_cache(maxsize=None)
@@ -787,6 +786,18 @@ def _class_bits(n: int) -> np.ndarray:
     """The classes of _class_forms(n) as a (classes, n(n-1)/2) uint8 array:
     row k holds the upper-triangle bits of class k (_graph6_bits)."""
     return _graph6_bits(n, _class_forms(n))
+
+
+@functools.lru_cache(maxsize=None)
+def _edge_cells(n: int) -> tuple[int, ...]:
+    """The edge-count index of the classes of n: cells[m] is the index of
+    the first class with at least m edges, for m = 0..n(n-1)/2 + 1, so
+    classes cells[m]..cells[m + 1]-1 are those with m edges (the classes
+    are sorted by edge count).  Found once per n, from the bit sums of
+    _class_bits(n); enumerate_graphs(n, m) and harness.bell_max_search
+    select a cell by it."""
+    edges = _class_bits(n).sum(axis=1)
+    return tuple(np.searchsorted(edges, np.arange(n * (n - 1) // 2 + 2)).tolist())
 
 
 def _bits_stack(n: int, bits: np.ndarray) -> np.ndarray:
@@ -815,15 +826,16 @@ def enumerate_graphs(
     graph6 text of _class_forms(n): the classes are enumerated once per
     process, and once per machine while the on-disk copy matches its pinned
     SHA-256.  The stream is deterministic (sorted by edge count, then
-    canonical graph6).  Optionally filter by edge count and/or connectivity.
+    canonical graph6).  Optionally filter by edge count and/or connectivity:
+    the classes with m edges are one slice of the stored level, found by
+    _edge_cells(n).
     """
     if not 1 <= n <= ENUMERATION_CAP:
         raise ValueError(f"enumeration capped at 1 <= n <= {ENUMERATION_CAP}, got {n}")
     if m is not None:
         _check_edge_count(n, m)
-    for text in _class_forms(n):
-        if m is not None and _graph6_edge_count(text) != m:
-            continue
+    cell = slice(None) if m is None else slice(*_edge_cells(n)[m:m + 2])
+    for text in _class_forms(n)[cell]:
         g = parse_graph6(text)
         if connected_only and not is_connected(g):
             continue

@@ -22,7 +22,6 @@ the same BoundColumns, from runs of its input lines grouped by n.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
@@ -38,13 +37,13 @@ from .graphs import (
     _class_bits,
     _class_forms,
     _connected_rows,
+    _edge_cells,
     canonical_form,
     parse_graph6,
     to_graph6,
 )
 from .spectral import (
     DEFAULT_TOL,
-    _adjacency_stack,
     _oracle_column,
     _solve_stack,
     check_tolerance,
@@ -353,8 +352,8 @@ def verify_graphs(
     """
     check_tolerance(tol)
     registry = dict(checks) if checks is not None else select_checks(None)
-    return [v for run in split_runs(graphs)
-            for v in _violations(bound_columns(_adjacency_stack(run)), tol, registry)]
+    return [v for _, stack in split_runs(graphs)
+            for v in _violations(bound_columns(stack), tol, registry)]
 
 
 def corpus_runs(n_max: int) -> Iterator[tuple[int, np.ndarray]]:
@@ -471,16 +470,6 @@ def hong_search(n_values: Iterable[int]) -> list[SearchRecord]:
     """
     return [record for n in check_search_sizes(n_values)
             for record in _search(n, 0, len(_class_bits(n)), "min")]
-
-
-@functools.lru_cache(maxsize=None)
-def _edge_cells(n: int) -> tuple[int, ...]:
-    """cells[m] is the index of the first class of n with at least m edges,
-    for m = 0..n(n-1)/2 + 1, so classes cells[m]..cells[m + 1]-1 are those
-    with m edges (the classes are sorted by edge count).  Found once per n:
-    it sums the bits of every class."""
-    edges = _class_bits(n).sum(axis=1)
-    return tuple(np.searchsorted(edges, np.arange(n * (n - 1) // 2 + 2)).tolist())
 
 
 def bell_max_search(n: int, m: int) -> SearchRecord:

@@ -23,7 +23,8 @@ the input was cut into runs.  run_length bounds a run's arrays, and runs
 are cut only here: split_rows cuts a sequence already known to share n (a
 level of the stored classes for verify and search, compute's input lines
 grouped by n), and split_runs lazily cuts stretches of consecutive same-n
-Graphs (for spectral_runs, bounds.build_contexts and harness.verify_graphs).
+Graphs and yields each run with its adjacency stack (for spectral_runs,
+bounds.build_contexts and harness.verify_graphs).
 The gated eigensolve of a run's stack is _solve_stack, which returns columns:
 bounds.bound_columns reads them, and spectral_runs turns them into one
 SpectralResult per graph.  adjacency_spectral_radius and spectral_summary
@@ -130,13 +131,14 @@ def run_length(n: int) -> int:
     return max(CHUNK, RUN_ENTRIES // (n * n))
 
 
-def split_runs(graphs: Iterable[Graph]) -> Iterator[list[Graph]]:
-    """Maximal stretches of consecutive graphs with the same n, cut at
-    run_length(n) graphs."""
+def split_runs(graphs: Iterable[Graph]) -> Iterator[tuple[list[Graph], np.ndarray]]:
+    """(run, stack) pairs: each run a maximal stretch of consecutive graphs
+    with the same n, cut at run_length(n) graphs, and stack its (B, n, n)
+    adjacency matrices (_adjacency_stack)."""
     for n, same_n in groupby(graphs, key=attrgetter("n")):
         length = run_length(n)
         while run := list(islice(same_n, length)):
-            yield run
+            yield run, _adjacency_stack(run)
 
 
 def split_rows(rows: Sequence, n: int) -> Iterator[Sequence]:
@@ -232,8 +234,8 @@ def spectral_runs(
     check_tolerance(tol)
 
     def pairs() -> Iterator[tuple[Graph, SpectralResult]]:
-        for run in split_runs(graphs):
-            rho, q1, residual = _solve_stack(_adjacency_stack(run), tol, with_q1)
+        for run, stack in split_runs(graphs):
+            rho, q1, residual = _solve_stack(stack, tol, with_q1)
             q1 = [None] * len(run) if q1 is None else q1.tolist()
             for g, r, q, e in zip(run, rho.tolist(), q1, residual.tolist()):
                 yield g, SpectralResult(rho=r, q1=q, iterations=1, residual=e)

@@ -380,7 +380,7 @@ def test_tol_must_be_finite_and_positive(command, tol, tmp_path, monkeypatch, ca
     assert not any(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("jobs", ["0", "-2"])
+@pytest.mark.parametrize("jobs", ["0", "-2", "abc"])
 def test_verify_jobs_must_be_positive(jobs, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--n-max", "3", "--jobs", jobs,
@@ -437,7 +437,8 @@ def test_search_cap(capsys):
      "search capped at 2 <= n <= 9, got 10"),
     (["verify", "--n-max", "10", "--jobs", "1"], "corpus cap is 1 <= n_max <= 9, got 10"),
     (["verify", "--n-max", "10", "--jobs", "2"], "corpus cap is 1 <= n_max <= 9, got 10"),
-], ids=["hong", "bell-max", "verify-jobs-1", "verify-jobs-2"])
+    (["search", "--hong", "--n", "7..4"], "empty range '7..4'"),
+], ids=["hong", "bell-max", "verify-jobs-1", "verify-jobs-2", "hong-empty-range"])
 def test_out_of_range_fails_before_any_enumeration(args, err, tmp_path, monkeypatch, capsys):
     # The library refuses the whole request before the first class is built.
     monkeypatch.chdir(tmp_path)  # where verify writes violations.csv
@@ -587,6 +588,32 @@ def test_a_tol_too_tight_for_eigh_exits_3_on_its_line(monkeypatch, capsys):
     assert lines[1].startswith("error: spectral residual ")
     assert lines[1].endswith("(relative to rho = 2.90417)")
     assert solved  # eigh re-solved the failing rows
+
+
+@pytest.mark.parametrize("args", [
+    ["search", "--hong", "--n", "4"],
+    ["search", "--bell-max", "--n", "4", "--m", "3"],
+    ["verify", "--n-max", "4", "--jobs", "1"],
+    ["verify", "--n-max", "4", "--jobs", "2"],
+], ids=["hong", "bell-max", "verify-jobs-1", "verify-jobs-2"])
+def test_a_failed_gate_exits_3_on_search_and_verify(args, tmp_path, monkeypatch, capsys):
+    # A shifted solve that returns 0 (a NaN residual) sends every row to
+    # eigh, whose top vector is made e_1: no graph with an edge passes the
+    # gate, so each command stops with exit 3, one error line, no output
+    # and no violations file (verify's workers inherit the patches).
+    monkeypatch.chdir(tmp_path)  # where verify writes violations.csv
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.zeros(b.shape))
+
+    def eigh(a):
+        vectors = np.zeros_like(a)
+        vectors[..., 0, :] = 1.0
+        return np.linalg.eigvalsh(a), vectors
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    code, out, err = run_cli(args, capsys)
+    assert (code, out) == (3, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: spectral residual ")
+    assert not any(tmp_path.iterdir())
 
 
 def _compute_bytes(data, source, args, tmp_path, monkeypatch, capsys):

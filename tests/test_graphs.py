@@ -626,6 +626,17 @@ def test_class_build_missing_its_pin_raises_and_stores_nothing(monkeypatch, tmp_
     assert sorted(p.name for p in stored.iterdir()) == [f"n{n}.g6" for n in range(1, 5)]
 
 
+@pytest.mark.parametrize("xdg", [None, "", "relative/cache"], ids=["unset", "empty", "relative"])
+def test_class_cache_dir_falls_back_to_home(xdg, monkeypatch, tmp_path):
+    # The XDG base-directory rules: only an absolute $XDG_CACHE_HOME is used.
+    monkeypatch.setenv("HOME", str(tmp_path))
+    if xdg is None:
+        monkeypatch.delenv("XDG_CACHE_HOME")
+    else:
+        monkeypatch.setenv("XDG_CACHE_HOME", xdg)
+    assert graphs._class_cache_dir() == str(tmp_path / ".cache" / "specirr" / "classes")
+
+
 def test_enumeration_k3_cell():
     found = list(enumerate_graphs(3, m=3))
     assert len(found) == 1

@@ -1,5 +1,6 @@
 """Verification harness: corpus sweeps, check injection, searches, grids."""
 
+import collections
 import dataclasses
 import hashlib
 import math
@@ -20,11 +21,12 @@ from specirr import (
     verify_corpus,
     verify_graphs,
 )
-from specirr import harness, spectral
+from specirr import graphs, harness, spectral
 from specirr.bounds import bound_columns, l_high_exact
 from specirr.graphs import (
     _bits_stack,
     _class_bits,
+    _class_forms,
     canonical_form,
     cycle,
     enumerate_graphs,
@@ -415,18 +417,19 @@ def test_bell_records_pinned_up_to_n_8():
 def test_bell_cells_are_found_once_per_n():
     # A cell's classes are found from the edge count of every class of n:
     # one pass over all m of n = 8 must find them once, not once per call.
-    harness._edge_cells.cache_clear()
+    graphs._edge_cells.cache_clear()
     for m in range(8 * 7 // 2 + 1):
         if m < 7:
             with pytest.raises(ValueError, match="no connected graph"):
                 bell_max_search(8, m)
         else:
             bell_max_search(8, m)
-    info = harness._edge_cells.cache_info()
+    info = graphs._edge_cells.cache_info()
     assert (info.misses, info.hits) == (1, 28)
-    cells = harness._edge_cells(8)
-    assert [cells[m + 1] - cells[m] for m in range(29)] == [
-        sum(1 for _ in enumerate_graphs(8, m)) for m in range(29)]
+    cells = graphs._edge_cells(8)
+    # Reference: the edge count of each stored class, decoded on its own.
+    sizes = collections.Counter(parse_graph6(text).m for text in _class_forms(8))
+    assert [cells[m + 1] - cells[m] for m in range(29)] == [sizes[m] for m in range(29)]
 
 
 # ---------------------------------------------------------------------------
