@@ -159,6 +159,16 @@ def yu_lu_tian_lower(g: Graph) -> float:
     return math.sqrt(sum(t * t for t in s.two_degrees) / s.sum_sq_degrees)
 
 
+def _yu_lu_tian_column(degrees: np.ndarray, two_degrees: np.ndarray) -> np.ndarray:
+    """sqrt(sum t^2 / sum d^2) of each row of (B, n) int64 degree and
+    2-degree columns: ||A d|| / ||d||, a Rayleigh quotient of A^2, so at
+    most rho on every graph with an edge (connected or not).  Both sums
+    are integers that float64 holds exactly, so each value is one
+    division and one square root from its exact value.  An edgeless row
+    divides 0 by 0."""
+    return np.sqrt((two_degrees * two_degrees).sum(axis=1) / (degrees * degrees).sum(axis=1))
+
+
 def hong_shu_fang_upper(s: DegreeStats) -> float:
     """Hong-Shu-Fang upper bound on rho for connected graphs.
 
@@ -517,8 +527,7 @@ def bound_columns(
                 np.nan,
             ),
             hofmeister_lb=np.sqrt(sum_sq / n),
-            ylt_lb=np.where(connected & (m > 0),
-                            np.sqrt((two_degrees * two_degrees).sum(axis=1) / sum_sq), np.nan),
+            ylt_lb=np.where(connected & (m > 0), _yu_lu_tian_column(degrees, two_degrees), np.nan),
             hsf_ub=np.where(
                 connected,
                 (dmin - 1 + np.sqrt((dmin + 1) ** 2 + 4 * (2 * m - dmin * n))) / 2.0,

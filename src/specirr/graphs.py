@@ -800,10 +800,19 @@ def _edge_cells(n: int) -> tuple[int, ...]:
     return tuple(np.searchsorted(edges, np.arange(n * (n - 1) // 2 + 2)).tolist())
 
 
+@functools.lru_cache(maxsize=None)
+def _triangle(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (j, i) index pair of the n(n-1)/2 cells i < j in graph6 order:
+    by column j, then row i.  Built once per n, read-only."""
+    j, i = np.tril_indices(n, -1)
+    j.flags.writeable = i.flags.writeable = False
+    return j, i
+
+
 def _bits_stack(n: int, bits: np.ndarray) -> np.ndarray:
     """(len(bits), n, n) uint8 adjacency matrices of rows of upper-triangle
     bits in graph6 order (_graph6_bits, _class_bits)."""
-    j, i = np.tril_indices(n, -1)  # graph6 order: by column j, then row i < j
+    j, i = _triangle(n)
     stack = np.zeros((len(bits), n, n), dtype=np.uint8)
     stack[:, i, j] = bits
     stack[:, j, i] = bits

@@ -54,6 +54,7 @@ from .bounds import (
     BoundColumns,
     _epsilon,
     _liu_liu,
+    _yu_lu_tian_column,
     bound_columns,
     build_context,  # re-exported as harness.build_context
     epsilon,
@@ -66,6 +67,8 @@ from .bounds import (
 
 DEFAULT_CHECK_TOL = 1e-9
 TIE_TOL = 1e-12
+# The relative window above a cell's U within which _search solves a row.
+PRUNE_MARGIN = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -414,39 +417,81 @@ class SearchRecord:
     ties: tuple[tuple[str, int], ...]
 
 
+def _search_columns(
+    n: int, index: np.ndarray, objective: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The class index, m, degree gap and Yu-Lu-Tian floor of each class of
+    n in index (class indices) that _search keeps: connected, and
+    non-regular with "min"."""
+    stack = _bits_stack(n, _class_bits(n)[index])
+    degrees = stack.sum(axis=2, dtype=np.int64)
+    gap = degrees.max(axis=1) - degrees.min(axis=1)
+    keep = _connected_rows(stack) & ((gap > 0) | (objective == "max"))
+    stack, degrees = stack[keep], degrees[keep]
+    floor = _yu_lu_tian_column(degrees, (stack @ degrees[:, :, None])[:, :, 0])
+    return (index[keep], (degrees.sum(axis=1) // 2).astype(np.int16),
+            gap[keep].astype(np.int16), floor)
+
+
 def _search(n: int, first: int, stop: int, objective: str) -> list[SearchRecord]:
     """One record per (n, m) cell among classes first..stop-1 of n that holds
     a connected class, non-regular with "min" (a regular graph's epsilon is
     0, which answers nothing there).
 
-    rho comes from one eigensolve per run of up to spectral.run_length(n)
-    classes, without q1.  The kept rows' class index, m, epsilon and degree
-    gap become columns, cut into cells where m changes (the classes are
-    sorted by edge count).  A cell's ties are its rows within TIE_TOL of
-    the cell's optimum, and the first of them wins.
+    A first pass over runs of up to spectral.run_length(n) classes keeps
+    the rows of those classes and gives each its class index, m, degree
+    gap and Yu-Lu-Tian floor (bounds._yu_lu_tian_column), a lower bound
+    on rho; the classes are sorted by edge count, so the cells are cut
+    where m changes.  Within a cell epsilon orders as rho does.  With
+    "min" the cell's lowest-floor row (the first, on equal floors) is
+    solved first, all cells' in one eigensolve per run; its rho is U, and
+    then only the rows whose floor is at most U (1 + PRUNE_MARGIN) are
+    solved.  With "max" the window is unbounded and every row is solved.
+    rho comes without q1, and a row is solved once.
+
+    The margin makes pruning exact.  The floor's two sums are integers
+    that float64 holds, so the computed floor is within 1e-15 (relative)
+    of the true floor, itself at most rho.  A solved rho lies
+    within DEFAULT_TOL * rho (1e-12 relative) of an eigenvalue, by the
+    residual gate, and rho >= 1 on a class with an edge.  A pruned row's
+    rho therefore exceeds U by more than (1e-9 - 1e-12 - 1e-15) U, far
+    more than TIE_TOL plus epsilon's rounding: it can be neither the
+    cell's optimum nor a tie.  An exact tie test must keep that window.
+    A pruned row is never solved, so it never fails the residual gate.
+
+    A cell's ties are its solved rows within TIE_TOL of the cell's
+    optimum, and the first of them wins.
     """
     forms, bits = _class_forms(n), _class_bits(n)
-    runs = []
-    for index in split_rows(np.arange(first, stop, dtype=np.int32), n):
-        stack = _bits_stack(n, bits[index])
-        degrees = stack.sum(axis=2, dtype=np.int64)
-        gap = degrees.max(axis=1) - degrees.min(axis=1)
-        keep = _connected_rows(stack) & ((gap > 0) | (objective == "max"))
-        rho = _solve_stack(stack[keep], DEFAULT_TOL, with_q1=False)[0]
-        m = degrees[keep].sum(axis=1) // 2
-        runs.append((index[keep], m.astype(np.int16), _epsilon(rho, m, n),
-                     gap[keep].astype(np.int16)))
-    index, m, eps, gap = (np.concatenate(column) for column in zip(*runs))
-    sign = 1.0 if objective == "min" else -1.0
+    index, m, gap, floor = (np.concatenate(column) for column in zip(*(
+        _search_columns(n, index, objective)
+        for index in split_rows(np.arange(first, stop, dtype=np.int32), n))))
     starts = np.flatnonzero(np.diff(m, prepend=-1)).tolist()
+    cells = list(zip(starts, starts[1:] + [len(m)]))
+    rho = np.full(len(m), np.nan)  # NaN on a row left unsolved
+
+    def solve(rows: np.ndarray) -> None:
+        for part in split_rows(rows, n):
+            stack = _bits_stack(n, bits[index[part]])
+            rho[part] = _solve_stack(stack, DEFAULT_TOL, with_q1=False)[0]
+
+    ceiling = np.full(len(cells), np.inf)
+    if objective == "min":
+        lowest = np.array([lo + int(np.argmin(floor[lo:hi])) for lo, hi in cells], dtype=np.int64)
+        solve(lowest)
+        ceiling = rho[lowest] * (1 + PRUNE_MARGIN)
+    window = floor <= np.repeat(ceiling, [hi - lo for lo, hi in cells])
+    solve(np.flatnonzero(np.isnan(rho) & window))
+    sign = 1.0 if objective == "min" else -1.0
     records = []
-    for lo, hi in zip(starts, starts[1:] + [len(m)]):
-        offset = sign * eps[lo:hi]
-        ties = (lo + np.flatnonzero(offset - offset.min() <= TIE_TOL)).tolist()
+    for lo, hi in cells:
+        eps = _epsilon(rho[lo:hi], m[lo:hi], n)
+        offset = sign * eps
+        ties = np.flatnonzero(offset - np.nanmin(offset) <= TIE_TOL).tolist()
         records.append(SearchRecord(
-            objective=objective, n=n, m=int(m[lo]), graph6=forms[index[ties[0]]],
-            epsilon=float(eps[ties[0]]), degree_gap=int(gap[ties[0]]),
-            ties=tuple((forms[index[k]], int(gap[k])) for k in ties)))
+            objective=objective, n=n, m=int(m[lo]), graph6=forms[index[lo + ties[0]]],
+            epsilon=float(eps[ties[0]]), degree_gap=int(gap[lo + ties[0]]),
+            ties=tuple((forms[index[lo + k]], int(gap[lo + k])) for k in ties)))
     return records
 
 

@@ -313,20 +313,21 @@ def test_searches_do_not_depend_on_run_length(monkeypatch):
     assert solves == sorted(solves, reverse=True) and len(set(solves)) == 4
 
 
-def _force_cell_epsilons(monkeypatch, m, offsets, rest):
+def _force_cell_epsilons(monkeypatch, n, m, offsets, rest):
     # Patch the search's eigensolve so that the connected classes with m
     # edges get epsilon 0.5 + offsets[k], k counting them in enumeration
-    # order, and 0.5 + rest once the offsets run out.
+    # order, and 0.5 + rest once the offsets run out.  The offset is keyed
+    # on the class's adjacency bytes, so it does not depend on which rows
+    # each call solves, or in what order.
+    cell = _adjacency_stack(list(enumerate_graphs(n, m=m, connected_only=True)))
+    forced_offset = {matrix.tobytes(): offset for matrix, offset in zip(cell, offsets)}
     solve = harness._solve_stack
-    seen = []
 
     def forced(stack, tol, with_q1):
         rho, q1, residual = solve(stack, tol, with_q1=with_q1)
-        n, edges = stack.shape[1], stack.sum(axis=(1, 2)) // 2
+        edges = stack.sum(axis=(1, 2)) // 2
         for row in np.flatnonzero(edges == m).tolist():
-            offset = offsets[len(seen)] if len(seen) < len(offsets) else rest
-            seen.append(row)
-            rho[row] = 2 * m / n + 0.5 + offset
+            rho[row] = 2 * m / n + 0.5 + forced_offset.get(stack[row].tobytes(), rest)
         return rho, q1, residual
 
     monkeypatch.setattr(harness, "_solve_stack", forced)
@@ -349,7 +350,7 @@ def test_ties_are_within_tie_tol_of_the_optimum(objective, offsets, expected, mo
             for g in enumerate_graphs(5, m=6, connected_only=True)]
     assert len(cell) == 5 and all(gap > 0 for _, gap in cell)
     sign = 1.0 if objective == "min" else -1.0
-    _force_cell_epsilons(monkeypatch, 6, [sign * x for x in offsets], sign * 0.1)
+    _force_cell_epsilons(monkeypatch, 5, 6, [sign * x for x in offsets], sign * 0.1)
     if objective == "min":
         record = next(r for r in hong_search([5]) if r.m == 6)
     else:
@@ -377,6 +378,40 @@ def test_hong_records_pinned_at_n_7_and_8():
     records = hong_search([7, 8])
     assert len(records) == 15 + 21
     assert _records_digest(records) == HONG_7_8_DIGEST
+
+
+def test_the_search_floor_is_at_most_rho():
+    # _search prunes by the Yu-Lu-Tian floor of the rows _search_columns
+    # keeps; on every connected non-regular class n <= 8 it is at most
+    # eigvalsh's rho.  The floor is tight on some classes (the stars), where
+    # the rounding of the two sides may put it up to 2 ulps above rho, far
+    # inside PRUNE_MARGIN.
+    for n in range(3, 9):
+        bits = _class_bits(n)
+        index, m, gap, floor = harness._search_columns(n, np.arange(len(bits)), "min")
+        assert len(index) and (gap > 0).all()
+        rho = np.linalg.eigvalsh(_bits_stack(n, bits[index]).astype(float))[:, -1]
+        assert (floor <= rho * (1 + 4 * np.finfo(float).eps)).all(), n
+    assert 4 * np.finfo(float).eps < harness.PRUNE_MARGIN
+    assert len(harness._search_columns(2, np.arange(2), "min")[0]) == 0
+
+
+def test_hong_search_solves_few_rows_at_n_8(monkeypatch):
+    # The floor leaves at most 100 of the 11 100 connected non-regular
+    # classes n = 8 to the eigensolve, and the records stay pinned; n = 2,
+    # where no class is kept, gives no record.
+    records = hong_search([7])
+    solve, rows = harness._solve_stack, []
+
+    def counted(stack, tol, with_q1):
+        rows.append(len(stack))
+        return solve(stack, tol, with_q1=with_q1)
+
+    monkeypatch.setattr(harness, "_solve_stack", counted)
+    records += hong_search([8])
+    assert 21 <= sum(rows) <= 100
+    assert _records_digest(records) == HONG_7_8_DIGEST
+    assert hong_search([2]) == []
 
 
 def test_no_eigh_on_the_corpus_and_stream_paths(tmp_path, monkeypatch):
