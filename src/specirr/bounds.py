@@ -12,13 +12,13 @@ compute: from a (B, n, n) adjacency stack it computes every quantity of a
 run of same-n graphs (degree statistics, class, connectivity, both
 spectral radii from one stacked eigensolve, the irregularity and every
 bound) as one int64, boolean or float column, with the scalar formulas'
-order of operations.  The gates (connectivity, regularity, vertex-count
-floors) are stated twice.  _applicability decides them from one graph's
-statistics, class and connectivity, and gives each bound's note;
-bound_columns states them again as masks, leaving a gated bound NaN
-where it does not apply.  Tier-1 tests hold the masks equal to
-_applicability on every class n <= 7 (test_gates_on_every_class and
-_assert_row_is_reference in tests/test_bounds.py).
+order of operations.  The gates (connectivity, regularity, subregular
+class, vertex-count floors, an edge) are stated once, in the table _GATES:
+each gated field's gates, each a test of a run's columns with the reason a
+note gives where it fails.  bound_columns turns them into one mask per
+field and run, leaving a gated bound NaN where it does not apply and the
+bounds an edgeless graph zeroes at 0.0; the notes of a BoundReport come
+from the same table.
 compute groups its whole input by n before it cuts runs, so an unsorted
 input pays for at most one short run per n.
 
@@ -26,7 +26,7 @@ build_contexts is the public per-graph view of the same evaluation: it
 cuts its input into runs of consecutive same-n graphs (spectral.split_runs),
 evaluates each with bound_columns and yields one BoundReport per row, with
 Python ints, exact rationals and floats, None where a gated column is NaN
-and the notes of _applicability.  build_context is its one-graph case and
+and the notes of _GATES.  build_context is its one-graph case and
 bound_report the same function under a second name.  The raw formula
 functions trust their stated preconditions; tests hold the columns to them.
 """
@@ -111,7 +111,7 @@ def cgs_bound(s: DegreeStats) -> float:
     Only sound for connected non-regular graphs on n >= 4 vertices: it is
     strictly positive (so regular graphs falsify it trivially) and the
     path on 3 vertices falsifies it too (irregularity sqrt(2) - 4/3 is
-    below 1/12).  _applicability states the gate.
+    below 1/12).  _GATES states the gate.
     """
     return 1.0 / (s.n * (s.max_degree + 2))
 
@@ -332,33 +332,30 @@ class BoundReport:
     applicability: dict[str, str] = field(default_factory=dict)
 
 
-def _applicability(s: DegreeStats, cls: RegularityClass, connected: bool) -> dict[str, str]:
-    """Why a gated bound is left out, keyed by BoundReport field.
+# A gate is a test, true where it holds, of a mapping from column name (n
+# included) to a run's columns or to one row's values, and the reason its
+# note gives where it fails, formatted with n and the row's class.
+_CONNECTED = (lambda c: c["connected"], "graph is disconnected")
+_NON_REGULAR = (lambda c: c["max_degree"] > c["min_degree"], "graph is regular")
+_FOUR = (lambda c: c["n"] >= 4, "n < 4 (the 3-vertex path falsifies the bound)")
+_HIGH = (lambda c: c["high_subregular"], "graph is {cls}")
+_LOW = (lambda c: c["low_subregular"], "graph is {cls}")
+_SEVEN = (lambda c: c["n"] >= 7, "n={n} < 7")
+_EDGE = (lambda c: c["m"] > 0, "graph has no edges")
+_DEGENERATE, _INAPPLICABLE = (0.0, "degenerate: "), (np.nan, "inapplicable: ")
 
-    Each gated field (cgs, sub_high, sub_low, ylt_lb, hsf_ub) gets the
-    first gate it fails, as an "inapplicable: ..." note; the bounds that
-    stay defined but read 0.0 on an edgeless graph get a "degenerate: ..."
-    note.
-    """
-    # Each chain names the first failed gate, or ends falsy when all hold.
-    disconnected = not connected and "graph is disconnected"
-    small = s.n < 7 and f"n={s.n} < 7"
-    other_class = f"graph is {cls.value}"
-    reasons = {
-        "cgs": disconnected
-               or (cls is RegularityClass.REGULAR and "graph is regular")
-               or (s.n < 4 and "n < 4 (the 3-vertex path falsifies the bound)"),
-        "sub_high": (cls is not RegularityClass.HIGH_SUBREGULAR and other_class)
-                    or disconnected or small,
-        "sub_low": (cls is not RegularityClass.LOW_SUBREGULAR and other_class)
-                   or disconnected or small,
-        "ylt_lb": disconnected or (s.m == 0 and "graph has no edges"),
-        "hsf_ub": disconnected,
-    }
-    edgeless = ("nikiforov", "main", "cg_degree") if s.m == 0 else ()
-    notes = dict.fromkeys(edgeless, "degenerate: graph has no edges")
-    notes.update((key, "inapplicable: " + why) for key, why in reasons.items() if why)
-    return notes
+# The one statement of the gates.  Each gated BoundReport field: the value
+# its column takes on a row that fails a gate (0.0 for a bound that stays
+# defined, NaN, read as None, for one that does not apply), its note's
+# prefix, and its gates in the order the note names the first that fails.
+_GATES = {
+    **dict.fromkeys(("nikiforov", "main", "cg_degree"), (_DEGENERATE, _EDGE)),
+    "cgs": (_INAPPLICABLE, _CONNECTED, _NON_REGULAR, _FOUR),
+    "sub_high": (_INAPPLICABLE, _HIGH, _CONNECTED, _SEVEN),
+    "sub_low": (_INAPPLICABLE, _LOW, _CONNECTED, _SEVEN),
+    "ylt_lb": (_INAPPLICABLE, _CONNECTED, _EDGE),
+    "hsf_ub": (_INAPPLICABLE, _CONNECTED),
+}
 
 
 def build_contexts(graphs: Iterable[Graph], tol: float = DEFAULT_TOL) -> Iterator[BoundReport]:
@@ -379,11 +376,13 @@ _CLASS_COLUMNS = ("regular", "high_subregular", "low_subregular")
 def _reports(run: Sequence[Graph], columns: BoundColumns) -> Iterator[BoundReport]:
     """The BoundReport of each graph of run from its row of columns, the
     evaluation of run's adjacency stack: every column value as a Python
-    int, bool or float, a NaN (a gated bound) as None."""
+    int, bool or float, a NaN (a gated bound) as None, and in _GATES' order
+    a note on each field with a gate the row fails, from the first such
+    gate."""
     n = columns.n
     names = [f.name for f in fields(columns)][2:]  # every array past n and adjacency
     for g, values in zip(run, zip(*(getattr(columns, name).tolist() for name in names))):
-        row = dict(zip(names, values))
+        row = dict(zip(names, values), n=n)
         stats = DegreeStats(
             n=n, degrees=tuple(row["degrees"]), two_degrees=tuple(row["two_degrees"]),
             avg_degree=Fraction(2 * row["m"], n), variance=Fraction(row["n2_variance"], n * n),
@@ -391,9 +390,15 @@ def _reports(run: Sequence[Graph], columns: BoundColumns) -> Iterator[BoundRepor
         # The first class whose column holds; none of them: other-irregular.
         cls = next((c for c, key in zip(RegularityClass, _CLASS_COLUMNS) if row[key]),
                    RegularityClass.OTHER_IRREGULAR)
+        notes = {}
+        for key, ((_, prefix), *gates) in _GATES.items():
+            for holds, why in gates:
+                if not holds(row):
+                    notes[key] = prefix + why.format(n=n, cls=cls.value)
+                    break
         yield BoundReport(
             graph=g, stats=stats, regularity=cls, connected=row["connected"],
-            applicability=_applicability(stats, cls, row["connected"]),
+            applicability=notes,
             **{key: None if math.isnan(row[key]) else row[key] for key in _FLOAT_FIELDS})
 
 
@@ -424,9 +429,9 @@ class BoundColumns:
     columns are int64; n2_variance is n^2 var = n sum d^2 - 4m^2, the exact
     variance scaled to an integer.  Class and connectivity are boolean
     columns (a graph in none of the three classes is other-irregular).  A
-    gated bound column is NaN exactly where _applicability marks the bound
-    inapplicable (BoundReport holds None there), so a claim with that side
-    never fires there.
+    gated bound column is NaN exactly where a gate of _GATES fails, which
+    BoundReport notes as inapplicable and holds as None, so a claim with
+    that side never fires there.
     """
 
     n: int
@@ -471,9 +476,9 @@ def bound_columns(
 
     Connectivity is tested once; with connected_only the disconnected
     rows are dropped before anything else is computed, and the row of a
-    SpectralConvergenceError counts the kept rows.  The gates are a second
-    statement of _applicability's, as masks; tier-1 tests hold the two
-    equal.
+    SpectralConvergenceError counts the kept rows.  Each field of _GATES
+    is then set to its fill value (NaN, or 0.0 on an edgeless graph) on the
+    rows that fail one of its gates, one mask per gate and run.
     """
     connected = _connected_rows(stack)
     if connected_only:
@@ -487,17 +492,15 @@ def bound_columns(
     sum_sq = (degrees * degrees).sum(axis=1)
     n2_variance = n * sum_sq - 4 * m * m
     # classify_degree_multiset: low wins when both exceptional counts are 1.
-    regular = gap == 0
     low = (gap == 1) & ((degrees == dmax[:, None]).sum(axis=1) == 1)
     high = (gap == 1) & ~low & ((degrees == dmin[:, None]).sum(axis=1) == 1)
     rho, q1, _ = _solve_stack(stack, tol, with_q1=True)
-    big = connected & (n >= 7)
-    # The rows a gate or an edgeless graph excludes may divide by zero;
-    # np.where discards what they compute.
+    # The rows a gate excludes may divide by zero; their values are
+    # overwritten below.
     with np.errstate(divide="ignore", invalid="ignore"):
         variance = n2_variance / (n * n)
-        nikiforov = np.where(m == 0, 0.0, variance / np.sqrt(8 * m))
-        return BoundColumns(
+        nikiforov = variance / np.sqrt(8 * m)
+        columns = BoundColumns(
             n=n,
             adjacency=stack,
             degrees=degrees,
@@ -508,7 +511,7 @@ def bound_columns(
             sum_sq_degrees=sum_sq,
             n2_variance=n2_variance,
             connected=connected,
-            regular=regular,
+            regular=gap == 0,
             high_subregular=high,
             low_subregular=low,
             rho=rho,
@@ -517,22 +520,20 @@ def bound_columns(
             avg_degree=2 * m / n,
             variance=variance,
             nikiforov=nikiforov,
-            main=np.where(m == 0, 0.0, nikiforov * np.sqrt(n / dmax)),
-            cg_degree=np.where(dmax == 0, 0.0, gap * gap / (4.0 * n * dmax)),
-            cgs=np.where(connected & ~regular & (n >= 4), 1.0 / (n * (dmax + 2)), np.nan),
-            sub_high=np.where(high & big, (n * n - 2 * n + 3) / (n ** 3 * dmax), np.nan),
-            sub_low=np.where(
-                low & big,
-                (2 * n * n - 4 * n - 3) * dmax / (2 * n ** 3 * (dmax * dmax - dmax + 1)),
-                np.nan,
-            ),
+            main=nikiforov * np.sqrt(n / dmax),
+            cg_degree=gap * gap / (4.0 * n * dmax),
+            cgs=1.0 / (n * (dmax + 2)),
+            sub_high=(n * n - 2 * n + 3) / (n ** 3 * dmax),
+            sub_low=(2 * n * n - 4 * n - 3) * dmax / (2 * n ** 3 * (dmax * dmax - dmax + 1)),
             hofmeister_lb=np.sqrt(sum_sq / n),
-            ylt_lb=np.where(connected & (m > 0), _yu_lu_tian_column(degrees, two_degrees), np.nan),
-            hsf_ub=np.where(
-                connected,
-                (dmin - 1 + np.sqrt((dmin + 1) ** 2 + 4 * (2 * m - dmin * n))) / 2.0,
-                np.nan,
-            ),
+            ylt_lb=_yu_lu_tian_column(degrees, two_degrees),
+            hsf_ub=(dmin - 1 + np.sqrt((dmin + 1) ** 2 + 4 * (2 * m - dmin * n))) / 2.0,
             var_lb=gap * gap / (2 * n),
             var_ub=gap * gap / 4,
         )
+    for key, ((fill, _), *gates) in _GATES.items():
+        holds = np.ones(len(columns), dtype=bool)
+        for gate, _ in gates:
+            holds &= gate(vars(columns))
+        getattr(columns, key)[~holds] = fill
+    return columns

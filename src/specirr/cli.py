@@ -98,32 +98,26 @@ def report_row(g: Graph, graph6: str, tol: float = DEFAULT_TOL) -> dict:
     return _report_rows(bound_columns(_adjacency_stack([g]), tol), [graph6])[0]
 
 
-def _round_value(value):
-    # Six significant digits (round-half-even via float formatting);
-    # exact integers and strings are never rounded.
-    if not isinstance(value, float):
-        return value
-    return float(f"{value:.6g}")
-
-
-def _rounded_rows(rows: list[dict], columns: Sequence[str], precision: str) -> list[dict]:
-    # Every row holds exactly the columns, in order, so at full precision,
-    # where nothing is rounded, the rows are written as they are.
-    if precision == "full":
-        return rows
-    return [{col: _round_value(row[col]) for col in columns} for row in rows]
-
-
 def _emit(rows: list[dict], columns: Sequence[str], fmt: str, precision: str, out) -> None:
-    rows = _rounded_rows(rows, columns, precision)
-    if fmt == "json":
-        out.write(json.dumps(rows, indent=2))
-        out.write("\n")
-        return
+    # Each row is rounded as it is written, so no rounded copy of every row
+    # is held; at full precision no value is touched.  sig6 keeps six
+    # significant digits (round-half-even via float formatting) and never
+    # rounds an exact integer or a string.  The json is that of
+    # json.dumps(rows, indent=2), written one row at a time.
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow(["NA" if row[col] is None else row[col] for col in columns])
+    if fmt == "csv":
+        writer.writerow(columns)
+    for k, row in enumerate(rows):
+        values = [row[col] for col in columns]
+        if precision != "full":
+            values = [float(f"{v:.6g}") if isinstance(v, float) else v for v in values]
+        if fmt == "csv":
+            writer.writerow(["NA" if v is None else v for v in values])
+        else:
+            text = json.dumps(dict(zip(columns, values)), indent=2).replace("\n", "\n  ")
+            out.write(("[\n  " if k == 0 else ",\n  ") + text)
+    if fmt == "json":
+        out.write("\n]\n" if rows else "[]\n")
 
 
 def _write_output(rows: list[dict], columns: Sequence[str], fmt: str,

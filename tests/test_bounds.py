@@ -41,7 +41,6 @@ from specirr import (
     yu_lu_tian_lower,
 )
 from specirr.bounds import (
-    _applicability,
     build_contexts,
     l_high_exact,
     l_high_two_term_exact,
@@ -398,15 +397,40 @@ def test_report_edgeless_degenerate():
     assert "no edges" in rep.applicability["nikiforov"]
 
 
-def _documented_gates(n, m, cls, connected):
-    """Each gated bound's documented condition, written out independently."""
+def _documented_conditions(n, m, cls, connected):
+    """Each gated bound's documented conditions, written out independently,
+    each with the reason its note gives where it fails, in the order the
+    note names the first that fails."""
+    disconnected = (connected, "graph is disconnected")
+    small = (n >= 7, f"n={n} < 7")
+    other_class = f"graph is {cls.value}"
     return {
-        "cgs": connected and cls is not RegularityClass.REGULAR and n >= 4,
-        "sub_high": connected and cls is RegularityClass.HIGH_SUBREGULAR and n >= 7,
-        "sub_low": connected and cls is RegularityClass.LOW_SUBREGULAR and n >= 7,
-        "ylt_lb": connected and m >= 1,
-        "hsf_ub": connected,
+        "cgs": [disconnected, (cls is not RegularityClass.REGULAR, "graph is regular"),
+                (n >= 4, "n < 4 (the 3-vertex path falsifies the bound)")],
+        "sub_high": [(cls is RegularityClass.HIGH_SUBREGULAR, other_class), disconnected, small],
+        "sub_low": [(cls is RegularityClass.LOW_SUBREGULAR, other_class), disconnected, small],
+        "ylt_lb": [disconnected, (m >= 1, "graph has no edges")],
+        "hsf_ub": [disconnected],
     }
+
+
+def _documented_gates(n, m, cls, connected):
+    """Whether each gated bound applies: all its documented conditions hold."""
+    conditions = _documented_conditions(n, m, cls, connected)
+    return {key: all(holds for holds, _ in pairs) for key, pairs in conditions.items()}
+
+
+def _documented_notes(n, m, cls, connected):
+    """A graph's applicability notes, in BoundReport's order: "degenerate:"
+    on each bound an edgeless graph gives as 0.0, then "inapplicable:" and
+    the reason of the first condition failed on each gated bound."""
+    edgeless = ("nikiforov", "main", "cg_degree") if m == 0 else ()
+    notes = dict.fromkeys(edgeless, "degenerate: graph has no edges")
+    for key, pairs in _documented_conditions(n, m, cls, connected).items():
+        failed = [why for holds, why in pairs if not holds]
+        if failed:
+            notes[key] = "inapplicable: " + failed[0]
+    return notes
 
 
 def test_gates_on_every_class():
@@ -443,12 +467,12 @@ FLOAT_FIELDS = ("rho", "q1", "epsilon", "nikiforov", "main", "cg_degree", "cgs",
 def _reference(g):
     # g's record written out from the public scalar formulas and a
     # per-graph eigvalsh (rho = d and q1 = 2d on a d-regular graph, exactly),
-    # each gated bound None where the one
-    # applicability rule marks it inapplicable (the only note a gated
-    # field can get).  Returns the degree statistics, class, connectivity,
-    # notes and the float of every field of FLOAT_FIELDS.
+    # with the documented notes above, each gated bound None where its note
+    # marks it inapplicable (the only note a gated field can get).  Returns
+    # the degree statistics, class, connectivity, notes and the float of
+    # every field of FLOAT_FIELDS.
     s, cls, connected = degree_stats(g), classify(g), is_connected(g)
-    notes = _applicability(s, cls, connected)
+    notes = _documented_notes(s.n, s.m, cls, connected)
     a = _adjacency_stack([g])[0].astype(float)
     rho = float(np.linalg.eigvalsh(a)[-1])
     a[np.diag_indices(g.n)] = a.sum(axis=1)  # A + D
@@ -542,8 +566,11 @@ def test_columns_equal_the_report_on_every_family_to_n_40():
 def test_reports_are_rows_of_python_values():
     # build_contexts builds each BoundReport from a row of BoundColumns.  Its
     # values must be the scalar formulas' and Python's own types: an
-    # np.int64 or np.bool_ compares equal but json.dumps rejects it.
+    # np.int64 or np.bool_ compares equal but json.dumps rejects it.  Its
+    # notes must be the documented ones, in their order, and the sweep must
+    # reach every distinct note.
     graphs = [g for n in range(1, 8) for g in enumerate_graphs(n)]
+    seen = set()
     for g, rep in zip(graphs, build_contexts(graphs), strict=True):
         s, cls, connected, notes, values = _reference(g)
         assert rep.graph is g
@@ -556,9 +583,31 @@ def test_reports_are_rows_of_python_values():
         assert rep.regularity is cls  # classify(g)
         assert type(rep.connected) is bool and rep.connected == connected
         assert rep.applicability == notes
+        assert list(rep.applicability.items()) == list(notes.items()), g
+        seen.update(rep.applicability.items())
         for key in FLOAT_FIELDS:
             value, expected = getattr(rep, key), values[key]
             if expected is None:
                 assert value is None, (key, g)
             else:
                 assert type(value) is float and value.hex() == expected.hex(), (key, g)
+    # No high or low subregular graph has 6 vertices (their degree sums,
+    # nD - 1 and n(D - 1) + 1, are even only for odd n), so the n < 7 notes
+    # read n=3 and n=5.
+    # K1 is the one connected edgeless graph, and P3 the one non-regular
+    # connected graph on fewer than 4 vertices.
+    expected = {(key, "degenerate: graph has no edges") for key in ("nikiforov", "main",
+                                                                    "cg_degree")}
+    expected |= {("cgs", "inapplicable: " + why) for why in (
+        "graph is disconnected", "graph is regular",
+        "n < 4 (the 3-vertex path falsifies the bound)")}
+    for key, own, small in (("sub_high", RegularityClass.HIGH_SUBREGULAR, (5,)),
+                            ("sub_low", RegularityClass.LOW_SUBREGULAR, (3, 5))):
+        expected |= {(key, f"inapplicable: graph is {c.value}")
+                     for c in RegularityClass if c is not own}
+        expected |= {(key, f"inapplicable: n={n} < 7") for n in small}
+        expected.add((key, "inapplicable: graph is disconnected"))
+    expected |= {("ylt_lb", "inapplicable: graph is disconnected"),
+                 ("ylt_lb", "inapplicable: graph has no edges"),
+                 ("hsf_ub", "inapplicable: graph is disconnected")}
+    assert seen == expected, seen ^ expected
