@@ -7,18 +7,24 @@ no cancellation in var = (1/n) sum d^2 - (2m/n)^2.  A value that is a
 quotient of two integers is the integer division a / b, which Python
 rounds correctly, so it equals float(Fraction(a, b)).
 
+Each bound is stated once, as a formula of degree statistics by name
+(the table _BOUNDS, and _yu_lu_tian_column, _variance_sandwich,
+_low_subregular_rho_cap and _l_high_terms) that the scalar functions
+evaluate on one graph's Python ints and exact variance and bound_columns
+on a run's int64 and float columns.  Tier-1 tests hold both to formulas
+written out independently from the paper.
+
 bound_columns is the one evaluation, the path of verify, search and
 compute: from a (B, n, n) adjacency stack it computes every quantity of a
 run of same-n graphs (degree statistics, class, connectivity, both
 spectral radii from one stacked eigensolve, the irregularity and every
-bound) as one int64, boolean or float column, with the scalar formulas'
-order of operations.  The gates (connectivity, regularity, subregular
-class, vertex-count floors, an edge) are stated once, in the table _GATES:
-each gated field's gates, each a test of a run's columns with the reason a
-note gives where it fails.  bound_columns turns them into one mask per
-field and run, leaving a gated bound NaN where it does not apply and the
-bounds an edgeless graph zeroes at 0.0; the notes of a BoundReport come
-from the same table.
+bound) as one int64, boolean or float column.  The gates (connectivity,
+regularity, subregular class, vertex-count floors, an edge) are stated
+once, in the table _GATES: each gated field's gates, each a test of a
+run's columns with the reason a note gives where it fails.
+bound_columns turns them into one mask per field and run, leaving a
+gated bound NaN where it does not apply and the bounds an edgeless graph
+zeroes at 0.0; the notes of a BoundReport come from the same table.
 compute groups its whole input by n before it cuts runs, so an unsorted
 input pays for at most one short run per n.
 
@@ -27,8 +33,9 @@ cuts its input into runs of consecutive same-n graphs (spectral.split_runs),
 evaluates each with bound_columns and yields one BoundReport per row, with
 Python ints, exact rationals and floats, None where a gated column is NaN
 and the notes of _GATES.  build_context is its one-graph case and
-bound_report the same function under a second name.  The raw formula
-functions trust their stated preconditions; tests hold the columns to them.
+bound_report the same function under a second name.  The scalar bound
+functions check only their stated guards (an edge, n >= 7, a subregular
+class) and leave the gates of _GATES to the caller.
 """
 
 from __future__ import annotations
@@ -76,6 +83,72 @@ def _epsilon(rho: float, m: int, n: int) -> float:
 
 
 # ---------------------------------------------------------------------------
+# The bound formulas, each stated once
+# ---------------------------------------------------------------------------
+#
+# A formula takes degree statistics by name, either one graph's Python
+# ints and exact Fraction variance (vars of its DegreeStats) or a run's
+# int64 and float columns, and ignores the rest.  The scalar functions
+# below evaluate it on the first, bound_columns on the second: the same
+# operations in the same order, so the two agree bit for bit wherever
+# float64 holds the integer operands (n <= 1351).  An int / int is one
+# correctly rounded division on both; a float result is np.float64 on
+# the scalar path until the function returns it as a float.
+_BOUNDS = {
+    "nikiforov": lambda variance, m, **_: variance / np.sqrt(8 * m),
+    # nikiforov * sqrt(n / Dmax), so that main >= nikiforov holds in
+    # floating point as well.
+    "main": lambda nikiforov, n, max_degree, **_: nikiforov * np.sqrt(n / max_degree),
+    "cg_degree": lambda n, max_degree, min_degree, **_:
+        (max_degree - min_degree) ** 2 / (4.0 * n * max_degree),
+    "cgs": lambda n, max_degree, **_: 1.0 / (n * (max_degree + 2)),
+    "sub_high": lambda n, max_degree, **_: (n * n - 2 * n + 3) / (n ** 3 * max_degree),
+    # (2n^2 - 4n - 3) / (2 n^3 (Dmax - 1 + 1/Dmax)) as one integer quotient.
+    "sub_low": lambda n, max_degree, **_: (2 * n * n - 4 * n - 3) * max_degree
+        / (2 * n ** 3 * (max_degree * max_degree - max_degree + 1)),
+    "hofmeister_lb": lambda n, sum_sq_degrees, **_: np.sqrt(sum_sq_degrees / n),
+    "ylt_lb": lambda degrees, two_degrees, **_: _yu_lu_tian_column(degrees, two_degrees),
+    # The discriminant is nonnegative because 2m >= n * Dmin always.
+    "hsf_ub": lambda n, m, min_degree, **_:
+        (min_degree - 1 + np.sqrt((min_degree + 1) ** 2 + 4 * (2 * m - min_degree * n))) / 2.0,
+}
+
+
+def _bound(key: str, s: DegreeStats, **more) -> float:
+    """_BOUNDS[key] of s (and of the values in more) as a Python float."""
+    return float(_BOUNDS[key](**vars(s), **more))
+
+
+def _yu_lu_tian_column(degrees: np.ndarray, two_degrees: np.ndarray) -> np.ndarray:
+    """sqrt(sum t^2 / sum d^2) of each row of (B, n) int64 degree and
+    2-degree columns: ||A d|| / ||d||, a Rayleigh quotient of A^2, so at
+    most rho on every graph with an edge (connected or not).  Both sums
+    are integers that float64 holds exactly, so each value is one
+    division and one square root from its exact value.  An edgeless row
+    divides 0 by 0."""
+    return np.sqrt((two_degrees * two_degrees).sum(axis=1) / (degrees * degrees).sum(axis=1))
+
+
+def _variance_sandwich(n, max_degree, min_degree, **_):
+    """The endpoints (Dmax-Dmin)^2/(2n) <= var <= (Dmax-Dmin)^2/4, each as
+    a pair (numerator, denominator) of integers or integer columns."""
+    gap2 = (max_degree - min_degree) ** 2
+    return (gap2, 2 * n), (gap2, 4)
+
+
+def _low_subregular_rho_cap(dmax):
+    """Dmax - 1 + 1/Dmax as one integer quotient; an edgeless row divides by 0."""
+    return (dmax * dmax - dmax + 1) / dmax
+
+
+def _l_high_terms(n, dmax):
+    """The numerator and denominator of l_high(n, Dmax), integers or
+    integer columns."""
+    num = (2 * dmax**2 + dmax - 1) * n**2 + (2 * dmax - 5 * dmax**2) * n + 2 * dmax - 1
+    return num, n**2 * (n * dmax**2 - 2 * dmax + 1)
+
+
+# ---------------------------------------------------------------------------
 # Lower bounds on the irregularity
 # ---------------------------------------------------------------------------
 
@@ -83,7 +156,7 @@ def nikiforov_bound(s: DegreeStats) -> float:
     """Nikiforov lower bound var(G) / sqrt(8m); 0 for edgeless graphs."""
     if s.m == 0:
         return 0.0
-    return float(s.variance) / math.sqrt(8 * s.m)
+    return _bound("nikiforov", s)
 
 
 def main_bound(s: DegreeStats) -> float:
@@ -94,15 +167,14 @@ def main_bound(s: DegreeStats) -> float:
     """
     if s.m == 0:
         return 0.0
-    return nikiforov_bound(s) * math.sqrt(s.n / s.max_degree)
+    return _bound("main", s, nikiforov=nikiforov_bound(s))
 
 
 def cg_degree_bound(s: DegreeStats) -> float:
     """Cioaba-Gregory degree-gap bound (Dmax - Dmin)^2 / (4 n Dmax)."""
     if s.max_degree == 0:
         return 0.0
-    gap = s.max_degree - s.min_degree
-    return gap * gap / (4.0 * s.n * s.max_degree)
+    return _bound("cg_degree", s)
 
 
 def cgs_bound(s: DegreeStats) -> float:
@@ -113,25 +185,22 @@ def cgs_bound(s: DegreeStats) -> float:
     path on 3 vertices falsifies it too (irregularity sqrt(2) - 4/3 is
     below 1/12).  _GATES states the gate.
     """
-    return 1.0 / (s.n * (s.max_degree + 2))
+    return _bound("cgs", s)
 
 
 def subregular_bounds(s: DegreeStats, c: RegularityClass) -> float:
     """Irregularity lower bound for connected subregular graphs on n >= 7.
 
     High subregular: (n^2 - 2n + 3) / (n^3 Dmax).
-    Low subregular:  (2n^2 - 4n - 3) / (2 n^3 (Dmax - 1 + 1/Dmax)),
-    evaluated as the one integer quotient
-    (2n^2 - 4n - 3) Dmax / (2 n^3 (Dmax^2 - Dmax + 1)).
+    Low subregular:  (2n^2 - 4n - 3) / (2 n^3 (Dmax - 1 + 1/Dmax)).
     Connectivity is asserted by the caller.
     """
     if s.n < 7:
         raise ValueError(f"subregular bounds require n >= 7, got n={s.n}")
-    n, dmax = s.n, s.max_degree
     if c is RegularityClass.HIGH_SUBREGULAR:
-        return (n * n - 2 * n + 3) / (n ** 3 * dmax)
+        return _bound("sub_high", s)
     if c is RegularityClass.LOW_SUBREGULAR:
-        return (2 * n * n - 4 * n - 3) * dmax / (2 * n ** 3 * (dmax * dmax - dmax + 1))
+        return _bound("sub_low", s)
     raise ValueError(f"subregular bounds need a subregular class, got {c.value}")
 
 
@@ -141,7 +210,7 @@ def subregular_bounds(s: DegreeStats, c: RegularityClass) -> float:
 
 def hofmeister_lower(s: DegreeStats) -> float:
     """Hofmeister lower bound sqrt(sum d^2 / n) <= rho."""
-    return math.sqrt(s.sum_sq_degrees / s.n)
+    return _bound("hofmeister_lb", s)
 
 
 def yu_lu_tian_lower(g: Graph) -> float:
@@ -156,36 +225,23 @@ def yu_lu_tian_lower(g: Graph) -> float:
     if g.m == 0:
         raise ValueError("Yu-Lu-Tian bound requires at least one edge")
     s = degree_stats(g)
-    return math.sqrt(sum(t * t for t in s.two_degrees) / s.sum_sq_degrees)
-
-
-def _yu_lu_tian_column(degrees: np.ndarray, two_degrees: np.ndarray) -> np.ndarray:
-    """sqrt(sum t^2 / sum d^2) of each row of (B, n) int64 degree and
-    2-degree columns: ||A d|| / ||d||, a Rayleigh quotient of A^2, so at
-    most rho on every graph with an edge (connected or not).  Both sums
-    are integers that float64 holds exactly, so each value is one
-    division and one square root from its exact value.  An edgeless row
-    divides 0 by 0."""
-    return np.sqrt((two_degrees * two_degrees).sum(axis=1) / (degrees * degrees).sum(axis=1))
+    return float(_yu_lu_tian_column(np.array([s.degrees]), np.array([s.two_degrees]))[0])
 
 
 def hong_shu_fang_upper(s: DegreeStats) -> float:
     """Hong-Shu-Fang upper bound on rho for connected graphs.
 
     rho <= (Dmin - 1 + sqrt((Dmin + 1)^2 + 4(2m - Dmin n))) / 2.
-    Connectivity is asserted by the caller.  The discriminant is
-    nonnegative because 2m >= n * Dmin always.
+    Connectivity is asserted by the caller.
     """
-    dmin = s.min_degree
-    disc = (dmin + 1) ** 2 + 4 * (2 * s.m - dmin * s.n)
-    return (dmin - 1 + math.sqrt(disc)) / 2.0
+    return _bound("hsf_ub", s)
 
 
 def low_subregular_rho_upper(dmax: int) -> float:
     """rho <= Dmax - 1 + 1/Dmax for connected low subregular graphs."""
     if dmax < 1:
         raise ValueError(f"max degree must be >= 1, got {dmax}")
-    return (dmax * dmax - dmax + 1) / dmax
+    return float(_low_subregular_rho_cap(dmax))
 
 
 # ---------------------------------------------------------------------------
@@ -194,8 +250,8 @@ def low_subregular_rho_upper(dmax: int) -> float:
 
 def variance_sandwich(s: DegreeStats) -> tuple[Fraction, Fraction]:
     """Exact Popoviciu/Nagy endpoints (Dmax-Dmin)^2/(2n) <= var <= (Dmax-Dmin)^2/4."""
-    gap = s.max_degree - s.min_degree
-    return Fraction(gap * gap, 2 * s.n), Fraction(gap * gap, 4)
+    (lo, lo_den), (hi, hi_den) = _variance_sandwich(**vars(s))
+    return Fraction(lo, lo_den), Fraction(hi, hi_den)
 
 
 @dataclass(frozen=True)
@@ -241,9 +297,7 @@ def liu_liu_check(s: DegreeStats, q1: float, tol: float = 1e-9) -> LiuLiuCheck:
 
 def l_high_exact(n: int, dmax: int) -> Fraction:
     _check_l_domain(n, dmax, high=True)
-    num = (2 * dmax**2 + dmax - 1) * n**2 + (2 * dmax - 5 * dmax**2) * n + 2 * dmax - 1
-    den = n**2 * (n * dmax**2 - 2 * dmax + 1)
-    return Fraction(num, den)
+    return Fraction(*_l_high_terms(n, dmax))
 
 
 def l_high_two_term_exact(n: int, dmax: int) -> Fraction:
@@ -423,9 +477,11 @@ class BoundColumns:
     of every array belongs to the graph whose 0/1 matrix is adjacency[i].
 
     Row i holds every value of graph i's BoundReport, which build_contexts
-    builds from it.  The float columns follow the scalar formulas' order of
-    operations, on integer operands (at most 2 n^5) that float64 holds
-    exactly for n <= 1351, so each equals its formula bit for bit.  Integer
+    builds from it.  Each bound column evaluates the statement of its
+    formula that the scalar function evaluates on Python ints (_BOUNDS),
+    on integer operands (at most 2 n^5) that float64 holds exactly for
+    n <= 1351, so it equals that function's value bit for bit; tier-1
+    tests hold it to the formula written out independently.  Integer
     columns are int64; n2_variance is n^2 var = n sum d^2 - 4m^2, the exact
     variance scaled to an integer.  Class and connectivity are boolean
     columns (a graph in none of the three classes is other-irregular).  A
@@ -495,42 +551,18 @@ def bound_columns(
     low = (gap == 1) & ((degrees == dmax[:, None]).sum(axis=1) == 1)
     high = (gap == 1) & ~low & ((degrees == dmin[:, None]).sum(axis=1) == 1)
     rho, q1, _ = _solve_stack(stack, tol, with_q1=True)
+    stats = dict(
+        n=n, degrees=degrees, two_degrees=two_degrees, m=m, max_degree=dmax, min_degree=dmin,
+        sum_sq_degrees=sum_sq, n2_variance=n2_variance, connected=connected, regular=gap == 0,
+        high_subregular=high, low_subregular=low, rho=rho, q1=q1, epsilon=_epsilon(rho, m, n),
+        avg_degree=2 * m / n, variance=n2_variance / (n * n))
     # The rows a gate excludes may divide by zero; their values are
     # overwritten below.
     with np.errstate(divide="ignore", invalid="ignore"):
-        variance = n2_variance / (n * n)
-        nikiforov = variance / np.sqrt(8 * m)
-        columns = BoundColumns(
-            n=n,
-            adjacency=stack,
-            degrees=degrees,
-            two_degrees=two_degrees,
-            m=m,
-            max_degree=dmax,
-            min_degree=dmin,
-            sum_sq_degrees=sum_sq,
-            n2_variance=n2_variance,
-            connected=connected,
-            regular=gap == 0,
-            high_subregular=high,
-            low_subregular=low,
-            rho=rho,
-            q1=q1,
-            epsilon=_epsilon(rho, m, n),
-            avg_degree=2 * m / n,
-            variance=variance,
-            nikiforov=nikiforov,
-            main=nikiforov * np.sqrt(n / dmax),
-            cg_degree=gap * gap / (4.0 * n * dmax),
-            cgs=1.0 / (n * (dmax + 2)),
-            sub_high=(n * n - 2 * n + 3) / (n ** 3 * dmax),
-            sub_low=(2 * n * n - 4 * n - 3) * dmax / (2 * n ** 3 * (dmax * dmax - dmax + 1)),
-            hofmeister_lb=np.sqrt(sum_sq / n),
-            ylt_lb=_yu_lu_tian_column(degrees, two_degrees),
-            hsf_ub=(dmin - 1 + np.sqrt((dmin + 1) ** 2 + 4 * (2 * m - dmin * n))) / 2.0,
-            var_lb=gap * gap / (2 * n),
-            var_ub=gap * gap / 4,
-        )
+        for key, formula in _BOUNDS.items():
+            stats[key] = formula(**stats)
+    stats["var_lb"], stats["var_ub"] = (num / den for num, den in _variance_sandwich(**stats))
+    columns = BoundColumns(adjacency=stack, **stats)
     for key, ((fill, _), *gates) in _GATES.items():
         holds = np.ones(len(columns), dtype=bool)
         for gate, _ in gates:

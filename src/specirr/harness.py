@@ -53,7 +53,10 @@ from .spectral import (
 from .bounds import (
     BoundColumns,
     _epsilon,
+    _l_high_terms,
     _liu_liu,
+    _low_subregular_rho_cap,
+    _variance_sandwich,
     _yu_lu_tian_column,
     bound_columns,
     build_context,  # re-exported as harness.build_context
@@ -62,7 +65,6 @@ from .bounds import (
     l_low_exact,
     l_high_two_term_exact,
     l_low_two_term_exact,
-    low_subregular_rho_upper,
 )
 
 DEFAULT_CHECK_TOL = 1e-9
@@ -121,15 +123,6 @@ def _where(rows: np.ndarray, side: np.ndarray) -> np.ndarray:
     return np.where(rows, side, np.nan)
 
 
-def _on_rows(rows: np.ndarray, fn: Callable[..., float], *columns: np.ndarray) -> np.ndarray:
-    """fn of each selected row's column values, NaN elsewhere: a scalar
-    formula kept for a claim that applies to few rows."""
-    out = np.full(len(rows), np.nan)
-    picked = np.flatnonzero(rows)
-    out[picked] = [fn(*values) for values in zip(*(c[picked].tolist() for c in columns))]
-    return out
-
-
 def _check_cs_lower(c: BoundColumns, tol: float):
     return [Claim("cs-lower", c.avg_degree, c.rho, tol)]
 
@@ -147,12 +140,14 @@ def _check_epsilon_sign(c: BoundColumns, tol: float):
 
 
 def _check_variance_sandwich(c: BoundColumns, tol: float):
-    # gap^2 / (2n) <= var <= gap^2 / 4, each side times 4n^2.
-    n, gap = c.n, c.max_degree - c.min_degree
-    scaled_var = 4 * c.n2_variance
+    # (Dmax-Dmin)^2 / (2n) <= var <= (Dmax-Dmin)^2 / 4 with var =
+    # n2_variance / n^2, each claim in integers: both sides times the
+    # product of its two denominators.
+    n2, var = c.n * c.n, c.n2_variance
+    (lo, lo_den), (hi, hi_den) = _variance_sandwich(**vars(c))
     return [
-        Claim("variance-sandwich-lower", 2 * n * gap * gap, scaled_var, 0, 4 * n * n),
-        Claim("variance-sandwich-upper", scaled_var, n * n * gap * gap, 0, 4 * n * n),
+        Claim("variance-sandwich-lower", lo * n2, var * lo_den, 0, lo_den * n2),
+        Claim("variance-sandwich-upper", var * hi_den, hi * n2, 0, hi_den * n2),
     ]
 
 
@@ -225,9 +220,10 @@ def _check_subregular_bounds(c: BoundColumns, tol: float):
 def _check_subregular_chain(c: BoundColumns, tol: float):
     # For connected high subregular graphs on n >= 7 the squared-bound gap
     # divided by 2*Dmax already lower-bounds the irregularity.
-    lhs = _on_rows(~np.isnan(c.sub_high),
-                   lambda dmax: float(l_high_exact(c.n, dmax)) / (2 * dmax), c.max_degree)
-    return [Claim("subregular-high-chain", lhs, c.epsilon, tol)]
+    num, den = _l_high_terms(c.n, c.max_degree)
+    with np.errstate(divide="ignore"):  # an edgeless row divides by 0
+        lhs = num / den / (2 * c.max_degree)
+    return [Claim("subregular-high-chain", _where(~np.isnan(c.sub_high), lhs), c.epsilon, tol)]
 
 
 def _check_subregular_delta_cap(c: BoundColumns, tol: float):
@@ -238,7 +234,8 @@ def _check_subregular_delta_cap(c: BoundColumns, tol: float):
 
 def _check_low_subregular_rho_cap(c: BoundColumns, tol: float):
     rows = c.low_subregular & c.connected
-    cap = _on_rows(rows, low_subregular_rho_upper, c.max_degree)
+    with np.errstate(divide="ignore"):  # an edgeless row divides by 0
+        cap = _low_subregular_rho_cap(c.max_degree)
     return [Claim("low-subregular-rho-cap", _where(rows, c.rho), cap, tol)]
 
 

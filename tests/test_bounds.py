@@ -239,6 +239,27 @@ def test_low_subregular_rho_upper_values():
     assert low_subregular_rho_upper(3) == pytest.approx(7 / 3, rel=1e-15)
 
 
+def test_low_subregular_rho_upper_needs_an_edge():
+    with pytest.raises(ValueError, match="max degree must be >= 1"):
+        low_subregular_rho_upper(0)
+
+
+def test_scalar_bounds_are_python_floats():
+    # The formulas are shared with the numpy columns; the scalar API must
+    # still return float, never np.float64 (repr and json differ), also
+    # where a guard returns 0.0.
+    s = WITNESS_STATS
+    edgeless = degree_stats(from_edges(3, []))
+    values = [nikiforov_bound(s), main_bound(s), cg_degree_bound(s), cgs_bound(s),
+              subregular_bounds(s, RegularityClass.HIGH_SUBREGULAR),
+              subregular_bounds(s, RegularityClass.LOW_SUBREGULAR),
+              hofmeister_lower(s), yu_lu_tian_lower(WITNESS), hong_shu_fang_upper(s),
+              low_subregular_rho_upper(4), l_high(7, 3), l_low(7, 3),
+              nikiforov_bound(edgeless), main_bound(edgeless), cg_degree_bound(edgeless)]
+    assert [type(value) for value in values] == [float] * len(values)
+    assert all(type(end) is Fraction for end in variance_sandwich(s))
+
+
 def test_low_subregular_cap_on_concrete_graph():
     # K5 minus two disjoint edges: connected low subregular, Dmax = 4.
     from specirr import adjacency_spectral_radius
@@ -465,12 +486,15 @@ FLOAT_FIELDS = ("rho", "q1", "epsilon", "nikiforov", "main", "cg_degree", "cgs",
 
 
 def _reference(g):
-    # g's record written out from the public scalar formulas and a
-    # per-graph eigvalsh (rho = d and q1 = 2d on a d-regular graph, exactly),
-    # with the documented notes above, each gated bound None where its note
-    # marks it inapplicable (the only note a gated field can get).  Returns
-    # the degree statistics, class, connectivity, notes and the float of
-    # every field of FLOAT_FIELDS.
+    # g's record written out from the paper's formulas, with no call into
+    # specirr.bounds, and a per-graph eigvalsh (rho = d and q1 = 2d on a
+    # d-regular graph, exactly), with the documented notes above, each
+    # gated bound None where its note marks it inapplicable (the only note
+    # a gated field can get) and each bound an edgeless graph zeroes 0.0.
+    # A rational bound is the float of its exact value; a bound with a
+    # square root takes its operations in the order bounds documents.
+    # Returns the degree statistics, class, connectivity, notes and the
+    # float of every field of FLOAT_FIELDS.
     s, cls, connected = degree_stats(g), classify(g), is_connected(g)
     notes = _documented_notes(s.n, s.m, cls, connected)
     a = _adjacency_stack([g])[0].astype(float)
@@ -479,24 +503,29 @@ def _reference(g):
     q1 = float(np.linalg.eigvalsh(a)[-1])
     if cls is RegularityClass.REGULAR:  # a d-regular graph has rho = d and q1 = 2d
         rho, q1 = float(s.max_degree), 2.0 * s.max_degree
-    var_lb, var_ub = map(float, variance_sandwich(s))
+    n, m, dmax, dmin = s.n, s.m, s.max_degree, s.min_degree
+    gap2 = (dmax - dmin) ** 2
+    nikiforov = float(s.variance) / math.sqrt(8 * m) if m else 0.0
     values = {
         "rho": rho,
         "q1": q1,
-        "epsilon": rho - 2 * s.m / s.n,
-        "nikiforov": nikiforov_bound(s),
-        "main": main_bound(s),
-        "cg_degree": cg_degree_bound(s),
-        "hofmeister_lb": hofmeister_lower(s),
-        "var_lb": var_lb,
-        "var_ub": var_ub,
+        "epsilon": rho - 2 * m / n,
+        "nikiforov": nikiforov,
+        # var sqrt(n) / sqrt(8 m Dmax), as nikiforov * sqrt(n / Dmax).
+        "main": nikiforov * math.sqrt(n / dmax) if m else 0.0,
+        "cg_degree": float(Fraction(gap2, 4 * n * dmax)) if m else 0.0,
+        "hofmeister_lb": math.sqrt(Fraction(s.sum_sq_degrees, n)),
+        "var_lb": float(Fraction(gap2, 2 * n)),
+        "var_ub": float(Fraction(gap2, 4)),
     }
     gated = {
-        "cgs": lambda: cgs_bound(s),
-        "sub_high": lambda: subregular_bounds(s, cls),
-        "sub_low": lambda: subregular_bounds(s, cls),
-        "ylt_lb": lambda: yu_lu_tian_lower(g),
-        "hsf_ub": lambda: hong_shu_fang_upper(s),
+        "cgs": lambda: float(Fraction(1, n * (dmax + 2))),
+        "sub_high": lambda: float(Fraction(n * n - 2 * n + 3, n**3 * dmax)),
+        "sub_low": lambda: float(Fraction(2 * n * n - 4 * n - 3, 2 * n**3)
+                                 / (dmax - 1 + Fraction(1, dmax))),
+        "ylt_lb": lambda: math.sqrt(Fraction(sum(t * t for t in s.two_degrees),
+                                             s.sum_sq_degrees)),
+        "hsf_ub": lambda: (dmin - 1 + math.sqrt((dmin + 1) ** 2 + 4 * (2 * m - dmin * n))) / 2,
     }
     values.update((key, None if key in notes else bound()) for key, bound in gated.items())
     return s, cls, connected, notes, values
@@ -547,15 +576,46 @@ def test_columns_equal_the_report_on_every_small_class():
         _assert_row_is_reference(columns, row, g)
 
 
+def _havel_hakimi(degrees):
+    # A graph with the (graphical) degree sequence degrees: while an edge
+    # is left to place, the first vertex of largest remaining degree d is
+    # joined to the next d vertices in order of remaining degree.
+    left, edges = list(degrees), []
+    while any(left):
+        u, *rest = sorted(range(len(left)), key=lambda v: -left[v])
+        for v in rest[:left[u]]:
+            left[v] -= 1
+            edges.append((u, v))
+        left[u] = 0
+    return from_edges(len(left), edges)
+
+
+def _subregular_graphs():
+    # Every degree sequence (D - 1, D, ..., D), high subregular, and (D,
+    # D - 1, ..., D - 1), low subregular, with odd n = 7..41 and D >= 3 and
+    # an even degree sum (D odd, D even), realised by Havel-Hakimi.  D = 2
+    # low is a path and a matching, never connected.
+    graphs = [_havel_hakimi(seq) for n in range(7, 42, 2) for d in range(3, n)
+              for seq in ([d - 1] + [d] * (n - 1), [d] + [d - 1] * (n - 1))
+              if sum(seq) % 2 == 0]
+    assert all(map(is_connected, graphs))
+    assert Counter(map(classify, graphs)) == {RegularityClass.HIGH_SUBREGULAR: 189,
+                                              RegularityClass.LOW_SUBREGULAR: 189}
+    return graphs
+
+
 def test_columns_equal_the_report_on_every_family_to_n_40():
     # verify_graphs on Graph input, past the enumeration cap, in runs of
-    # several graphs with one n.
+    # several graphs with one n: every gen family, and connected high and
+    # low subregular graphs up to n = 41, where the paper's subregular
+    # bounds apply (only 106 classes n <= 9 are subregular).
     graphs = []
     for make in GENERATORS.values():
         for size in range(1, 41):
             with contextlib.suppress(ValueError):  # below the family's least size
                 graphs.append(make(size))
-    graphs = sorted((g for g in graphs if g.n <= 40), key=lambda g: g.n)
+    graphs = [g for g in graphs if g.n <= 40] + _subregular_graphs()
+    graphs.sort(key=lambda g: g.n)
     runs = _captured_runs(lambda checks: verify_graphs(graphs, checks=checks))
     rows = [(columns, row) for columns in runs for row in range(len(columns))]
     assert len(rows) == len(graphs) and max(len(columns) for columns in runs) > 1
