@@ -34,8 +34,9 @@ evaluates each with bound_columns and yields one BoundReport per row, with
 Python ints, exact rationals and floats, None where a gated column is NaN
 and the notes of _GATES.  build_context is its one-graph case and
 bound_report the same function under a second name.  The scalar bound
-functions check only their stated guards (an edge, n >= 7, a subregular
-class) and leave the gates of _GATES to the caller.
+functions return 0.0 where _GATES zeroes a field (an edgeless graph),
+check their stated guards (an edge, n >= 7, a subregular class) and leave
+the gates that leave a field NaN to the caller.
 """
 
 from __future__ import annotations
@@ -115,7 +116,12 @@ _BOUNDS = {
 
 
 def _bound(key: str, s: DegreeStats, **more) -> float:
-    """_BOUNDS[key] of s (and of the values in more) as a Python float."""
+    """_BOUNDS[key] of s (and of the values in more) as a Python float.  A
+    field that _GATES zeroes where one of its gates fails, rather than
+    leaving it NaN, is 0.0 there."""
+    (fill, _), *gates = _GATES.get(key, (_INAPPLICABLE,))
+    if fill == 0.0 and not all(holds(vars(s)) for holds, _ in gates):
+        return 0.0
     return float(_BOUNDS[key](**vars(s), **more))
 
 
@@ -154,8 +160,6 @@ def _l_high_terms(n, dmax):
 
 def nikiforov_bound(s: DegreeStats) -> float:
     """Nikiforov lower bound var(G) / sqrt(8m); 0 for edgeless graphs."""
-    if s.m == 0:
-        return 0.0
     return _bound("nikiforov", s)
 
 
@@ -165,15 +169,11 @@ def main_bound(s: DegreeStats) -> float:
     Computed as nikiforov_bound * sqrt(n / Dmax) so the dominance relation
     between the two is exact in floating point as well.
     """
-    if s.m == 0:
-        return 0.0
     return _bound("main", s, nikiforov=nikiforov_bound(s))
 
 
 def cg_degree_bound(s: DegreeStats) -> float:
     """Cioaba-Gregory degree-gap bound (Dmax - Dmin)^2 / (4 n Dmax)."""
-    if s.max_degree == 0:
-        return 0.0
     return _bound("cg_degree", s)
 
 

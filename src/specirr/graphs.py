@@ -6,12 +6,18 @@ graph6 text I/O, degree statistics in exact rational arithmetic,
 near-regularity classification, the standard generator families, canonical
 forms under isomorphism, and exhaustive enumeration of isomorphism classes
 up to ENUMERATION_CAP vertices, kept on disk under pinned SHA-256 digests.
-For evaluation in bulk, graph6 texts with one n are decoded together
-into an array of upper-triangle bits (_graph6_bits): a stored level once
-(_class_bits), compute's input a run at a time.  A level's classes with m
-edges are one slice of it, found by its edge-count index (_edge_cells).
-Stacks of adjacency matrices are cut from those bits without building a
-Graph.
+One row of upper-triangle bits in graph6 order is the interchange between
+graph6 text, Graph and adjacency stack.  Edge (i, j) sits at
+_position(i, j) = j(j-1)/2 + i, the one rule between edges and bits;
+_triangle and _cells list the cells in that order.  graph6 texts with one n
+are decoded together into rows (_graph6_bits): a stored level once
+(_class_bits), compute's input a run at a time, and parse_graph6's text
+alone.  A row becomes a Graph through _bits_graph (parse_graph6,
+enumerate_graphs, a violation's graph) or, with no Graph built, a stack of
+adjacency matrices through _bits_stack.  The other way, to_graph6 packs a
+Graph's edge positions into text and spectral._adjacency_stack sets them
+in zero rows.  A level's classes with m edges are one slice of it, found
+by its edge-count index (_edge_cells).
 """
 
 from __future__ import annotations
@@ -127,6 +133,12 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 _GRAPH6_HEADER = ">>graph6<<"
 
 
+def _position(i, j):
+    """The index of edge (i, j), i < j, in a row of graph6 bits: j(j-1)/2 + i.
+    The one rule from an edge to its bit."""
+    return j * (j - 1) // 2 + i
+
+
 def _graph6(n: int, bits: int) -> str:
     """graph6 text for n vertices and the n(n-1)/2 upper-triangle bits."""
     nbits = n * (n - 1) // 2
@@ -142,12 +154,8 @@ def to_graph6(g: Graph) -> str:
     """Encode a graph as a one-line graph6 string."""
     if g.n > GRAPH6_MAX_N:
         raise ValueError(f"graph6 encoding supported for n <= {GRAPH6_MAX_N}, got {g.n}")
-    bits = 0
-    for j in range(1, g.n):
-        col = g.neighbor_masks[j]
-        for i in range(j):
-            bits = (bits << 1) | ((col >> i) & 1)
-    return _graph6(g.n, bits)
+    last = g.n * (g.n - 1) // 2 - 1
+    return _graph6(g.n, sum(1 << (last - _position(i, j)) for i, j in g.edges))
 
 
 def _graph6_size(line: str) -> int:
@@ -179,28 +187,21 @@ def parse_graph6(text: str) -> Graph:
     """Decode a one-line graph6 string (optional '>>graph6<<' prefix tolerated)."""
     line = text.strip().removeprefix(_GRAPH6_HEADER)
     n = _graph6_size(line)
-    bits = 0
-    for c in line[1:]:
-        bits = (bits << 6) | (ord(c) - 63)
-    edges = []
-    pos = 6 * (len(line) - 1) - 1
-    for j in range(1, n):
-        for i in range(j):
-            if (bits >> pos) & 1:
-                edges.append((i, j))
-            pos -= 1
-    return Graph(n, frozenset(edges))
+    return _bits_graph(n, _graph6_bits(n, [line])[0])
+
+
+# Row c: the six bits, most significant first, that graph6 byte c carries
+# (c - 63, for c in 63..126).
+_SIXES = np.unpackbits((np.arange(256) - 63).astype(np.uint8)[:, None], axis=1)[:, 2:]
 
 
 def _graph6_bits(n: int, lines: Sequence[str]) -> np.ndarray:
     """(len(lines), n(n-1)/2) uint8 upper-triangle bits of valid graph6
     strings on n vertices (see _graph6_size), in graph6 order: x(0,1),
-    x(0,2), x(1,2), x(0,3), ...  Each byte less 63 carries six of them,
-    most significant first; one unpackbits decodes every line."""
+    x(0,2), x(1,2), x(0,3), ...  One lookup in _SIXES decodes every byte
+    of every line; the header's six bits are dropped."""
     text = np.frombuffer("".join(lines).encode("ascii"), dtype=np.uint8)
-    body = text.reshape(len(lines), -1)[:, 1:, None] - 63
-    bits = np.unpackbits(body, axis=2)[:, :, 2:]
-    return bits.reshape(len(lines), -1)[:, :n * (n - 1) // 2]
+    return _SIXES[text].reshape(len(lines), -1)[:, 6:6 + n * (n - 1) // 2]
 
 
 # ---------------------------------------------------------------------------
@@ -800,13 +801,30 @@ def _edge_cells(n: int) -> tuple[int, ...]:
     return tuple(np.searchsorted(edges, np.arange(n * (n - 1) // 2 + 2)).tolist())
 
 
-@functools.lru_cache(maxsize=None)
+# Bounded: adjacency stacks reach any n, and at n = 1 500 the index arrays
+# alone take 18 MB.
+@functools.lru_cache(maxsize=16)
 def _triangle(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (j, i) index pair of the n(n-1)/2 cells i < j in graph6 order:
-    by column j, then row i.  Built once per n, read-only."""
+    """The (j, i) index pair of the n(n-1)/2 cells i < j in graph6 order,
+    by column j, then row i: entry k is the cell at _position k.  Built
+    once per n while cached, read-only."""
     j, i = np.tril_indices(n, -1)
     j.flags.writeable = i.flags.writeable = False
     return j, i
+
+
+@functools.lru_cache(maxsize=16)
+def _cells(n: int) -> tuple[tuple[int, int], ...]:
+    """The cells of _triangle(n) as (i, j) pairs: cell k is the edge at
+    _position k."""
+    j, i = _triangle(n)
+    return tuple(zip(i.tolist(), j.tolist()))
+
+
+def _bits_graph(n: int, row: np.ndarray) -> Graph:
+    """The Graph of one row of upper-triangle bits in graph6 order: its
+    edges are the cells whose bit is set."""
+    return Graph(n, frozenset(itertools.compress(_cells(n), row.tolist())))
 
 
 def _bits_stack(n: int, bits: np.ndarray) -> np.ndarray:
@@ -831,21 +849,21 @@ def enumerate_graphs(
 ) -> Iterator[Graph]:
     """Yield one representative per isomorphism class on n vertices.
 
-    Each representative is the canonical relabeling, decoded from the
-    graph6 text of _class_forms(n): the classes are enumerated once per
-    process, and once per machine while the on-disk copy matches its pinned
-    SHA-256.  The stream is deterministic (sorted by edge count, then
-    canonical graph6).  Optionally filter by edge count and/or connectivity:
-    the classes with m edges are one slice of the stored level, found by
-    _edge_cells(n).
+    Each representative is the canonical relabeling, built from its row of
+    _class_bits(n), the bits of the stored graph6 text: the classes are
+    enumerated once per process, and once per machine while the on-disk
+    copy matches its pinned SHA-256.  The stream is deterministic (sorted
+    by edge count, then canonical graph6).  Optionally filter by edge count
+    and/or connectivity: the classes with m edges are one slice of the
+    stored level, found by _edge_cells(n).
     """
     if not 1 <= n <= ENUMERATION_CAP:
         raise ValueError(f"enumeration capped at 1 <= n <= {ENUMERATION_CAP}, got {n}")
     if m is not None:
         _check_edge_count(n, m)
     cell = slice(None) if m is None else slice(*_edge_cells(n)[m:m + 2])
-    for text in _class_forms(n)[cell]:
-        g = parse_graph6(text)
+    for row in _class_bits(n)[cell]:
+        g = _bits_graph(n, row)
         if connected_only and not is_connected(g):
             continue
         yield g

@@ -16,7 +16,8 @@ same n, as one (B, n, n) adjacency stack.  The corpus path cuts its runs
 from the stored classes' bit rows (graphs._class_bits), so no Graph is
 built there.  A check maps a run's BoundColumns to a list of claim
 columns, and a ViolationReport, with the Graph, graph6 and canonical form
-it names, is built only for a row where a claim fails.  compute evaluates
+it names, is built only for a row where a claim fails: its Graph from the
+row's upper-triangle bits, read off its adjacency matrix.  compute evaluates
 the same BoundColumns, from runs of its input lines grouped by n.
 """
 
@@ -32,12 +33,14 @@ import numpy as np
 from .graphs import (
     ENUMERATION_CAP,
     Graph,
+    _bits_graph,
     _bits_stack,
     _check_edge_count,
     _class_bits,
     _class_forms,
     _connected_rows,
     _edge_cells,
+    _triangle,
     canonical_form,
     parse_graph6,
     to_graph6,
@@ -302,12 +305,6 @@ def select_checks(only: Iterable[str] | None) -> dict[str, CheckFn]:
     return selected
 
 
-def _graph_of(adjacency: np.ndarray) -> Graph:
-    """The Graph of one 0/1 adjacency matrix."""
-    i, j = np.nonzero(np.triu(adjacency))
-    return Graph(len(adjacency), frozenset(zip(i.tolist(), j.tolist())))
-
-
 def _reported(side, scale) -> Fraction | float:
     return side if scale == 1 else Fraction(int(side), int(scale))
 
@@ -326,8 +323,9 @@ def _violations(
         if fails.any():
             failed += ((row, k) for row in np.flatnonzero(np.broadcast_to(fails, rows)).tolist())
     violations = []
+    j, i = _triangle(columns.n)
     for row, group in groupby(sorted(failed), key=lambda f: f[0]):
-        g = _graph_of(columns.adjacency[row])
+        g = _bits_graph(columns.n, columns.adjacency[row][i, j])
         graph6 = to_graph6(g)
         canonical = canonical_form(g).hex() if g.n <= ENUMERATION_CAP else None
         for _, k in group:

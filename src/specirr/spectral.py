@@ -24,7 +24,10 @@ are cut only here: split_rows cuts a sequence already known to share n (a
 level of the stored classes for verify and search, compute's input lines
 grouped by n), and split_runs lazily cuts stretches of consecutive same-n
 Graphs and yields each run with its adjacency stack (for spectral_runs,
-bounds.build_contexts and harness.verify_graphs).
+bounds.build_contexts and harness.verify_graphs).  That stack is built as
+every other stack is, from rows of graph6 bits (graphs._bits_stack): each
+graph's edges are set at their graphs._position in a zero row
+(_adjacency_stack).
 The gated eigensolve of a run's stack is _solve_stack, which returns columns:
 bounds.bound_columns reads them, and spectral_runs turns them into one
 SpectralResult per graph.  adjacency_spectral_radius and spectral_summary
@@ -64,7 +67,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import Graph, _bits_stack, _position
 
 DEFAULT_TOL = 1e-12
 ORACLE_MAX_N = 12
@@ -149,13 +152,17 @@ def split_rows(rows: Sequence, n: int) -> Iterator[Sequence]:
 
 
 def _adjacency_stack(run: Sequence[Graph]) -> np.ndarray:
-    """(len(run), n, n) uint8 adjacency matrices of graphs sharing n; row v
-    of a graph's matrix unpacks the bits of its neighbor_masks[v]."""
+    """(len(run), n, n) uint8 adjacency matrices of graphs sharing n: each
+    graph's row of graph6 bits, a zero row set to 1 at each edge's
+    graphs._position, put in place by graphs._bits_stack.  Beyond zeroing
+    the matrices, the work per graph is one step per edge."""
     n = run[0].n
-    width = (n + 7) // 8
-    packed = b"".join(mask.to_bytes(width, "little") for g in run for mask in g.neighbor_masks)
-    rows = np.frombuffer(packed, dtype=np.uint8).reshape(len(run), n, width)
-    return np.unpackbits(rows, axis=2, count=n, bitorder="little")
+    total = n * (n - 1) // 2
+    bits = bytearray(len(run) * total)
+    for k, g in enumerate(run):
+        for i, j in g.edges:
+            bits[k * total + _position(i, j)] = 1
+    return _bits_stack(n, np.frombuffer(bits, dtype=np.uint8).reshape(len(run), total))
 
 
 def _solve_stack(

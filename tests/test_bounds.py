@@ -260,6 +260,14 @@ def test_scalar_bounds_are_python_floats():
     assert all(type(end) is Fraction for end in variance_sandwich(s))
 
 
+@pytest.mark.parametrize("n", range(1, 6))
+def test_edgeless_bounds_are_exactly_zero(n):
+    # The three bounds an edgeless graph zeroes, where the formulas would
+    # divide by zero.
+    s = degree_stats(from_edges(n, []))
+    assert [nikiforov_bound(s), main_bound(s), cg_degree_bound(s)] == [0.0, 0.0, 0.0]
+
+
 def test_low_subregular_cap_on_concrete_graph():
     # K5 minus two disjoint edges: connected low subregular, Dmax = 4.
     from specirr import adjacency_spectral_radius

@@ -1,4 +1,6 @@
-"""graph6 encoding against an independent decoder (networkx)."""
+"""graph6 encoding, and the bit rows between graph6 text, Graph and
+adjacency stack, against independent references: networkx's encoder and
+decoder, and matrices written out from edge lists."""
 
 import random
 
@@ -18,7 +20,9 @@ from specirr import (
     subdivided_prism,
     to_graph6,
 )
-from specirr.graphs import _bits_stack, _class_bits, _class_forms, _graph6_bits
+from specirr.graphs import Graph, _bits_stack, _class_bits, _class_forms, _graph6_bits
+from specirr.harness import Claim, verify_graphs
+from specirr.spectral import _adjacency_stack
 
 NAMED = [
     complete(2), complete(5), cycle(4), cycle(7), path(1), path(6),
@@ -52,31 +56,77 @@ def test_round_trip_small_corpus():
             assert parse_graph6(to_graph6(g)).edges == g.edges
 
 
+def _nx_graph6(n: int, edges) -> str:
+    nx_graph = nx.Graph()
+    nx_graph.add_nodes_from(range(n))
+    nx_graph.add_edges_from(edges)
+    return nx.to_graph6_bytes(nx_graph, nodes=range(n), header=False).decode("ascii").strip()
+
+
 def test_encoding_matches_networkx():
     rng = random.Random(5)
-    for _ in range(200):
-        n = rng.randint(1, 30)
-        edges = [(i, j) for i in range(n) for j in range(i + 1, n)
-                 if rng.random() < 0.3]
-        g = from_edges(n, edges)
-        mine = to_graph6(g)
-        nx_graph = nx.Graph()
-        nx_graph.add_nodes_from(range(n))
-        nx_graph.add_edges_from(edges)
-        theirs = nx.to_graph6_bytes(nx_graph, nodes=range(n), header=False)
-        theirs = theirs.decode("ascii").strip()
-        assert mine == theirs
-        assert parse_graph6(theirs).edges == g.edges
+    for n in range(1, 63):
+        for p in (0.1, 0.3, 0.8):
+            edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+            g = from_edges(n, edges)
+            theirs = _nx_graph6(n, edges)
+            assert to_graph6(g) == theirs
+            assert parse_graph6(theirs).edges == g.edges
 
 
 def test_canonical_strings_round_trip_exactly():
-    # For any standard-encoded string s, to_graph6(parse_graph6(s)) == s.
+    # For any standard-encoded string s, to_graph6(parse_graph6(s)) == s,
+    # and parse_graph6 finds the edges networkx decodes.
     rng = random.Random(9)
-    for _ in range(100):
-        n = rng.randint(1, 40)
-        g = nx.gnp_random_graph(n, 0.4, seed=rng.randint(0, 10**6))
-        s = nx.to_graph6_bytes(g, header=False).decode("ascii").strip()
-        assert to_graph6(parse_graph6(s)) == s
+    for n in range(1, 63):
+        for p in (0.05, 0.4, 0.95):
+            g = nx.gnp_random_graph(n, p, seed=rng.randint(0, 10**6))
+            s = nx.to_graph6_bytes(g, header=False).decode("ascii").strip()
+            assert parse_graph6(s).edges == _nx_edges(s)
+            assert to_graph6(parse_graph6(s)) == s
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_parse_graph6_rebuilds_every_stored_class(n):
+    # enumerate_graphs builds its Graphs from the stored bit rows, not
+    # through parse_graph6, so the parser is checked here on every class.
+    assert [parse_graph6(text) for text in _class_forms(n)] == list(enumerate_graphs(n))
+
+
+def _matrix(g: Graph) -> np.ndarray:
+    # The adjacency matrix, written out from the edge list.
+    a = np.zeros((g.n, g.n), dtype=np.uint8)
+    for u, v in g.edges:
+        a[u, v] = a[v, u] = 1
+    return a
+
+
+def _random_graph(n: int, p: float, rng: random.Random) -> Graph:
+    return from_edges(n, [(i, j) for j in range(n) for i in range(j) if rng.random() < p])
+
+
+def test_adjacency_stack_matches_the_edge_lists():
+    rng = random.Random(300)
+    runs = [[from_edges(n, []), complete(n), _random_graph(n, 0.5, rng)] for n in (1, 2, 62)]
+    runs.append([_random_graph(300, 0.3, rng)])
+    for run in runs:
+        stack = _adjacency_stack(run)
+        assert stack.dtype == np.uint8
+        assert np.array_equal(stack, np.stack([_matrix(g) for g in run]))
+
+
+def test_violation_names_the_relabelled_graph():
+    # A claim that fails on every graph: each violation must name its own
+    # graph's graph6, as networkx encodes it, whatever the vertex labels.
+    rng = random.Random(11)
+    graphs = []
+    for n in range(10, 63):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        graphs.append(_random_graph(n, rng.uniform(0.1, 0.9), rng).relabel(perm))
+    fired = {"x": lambda columns, tol: [Claim("x", 1, 0, 0)]}
+    violations = verify_graphs(graphs, checks=fired)
+    assert [v.graph6 for v in violations] == [_nx_graph6(g.n, g.edges) for g in graphs]
 
 
 def test_parse_rejects_empty():
@@ -144,4 +194,5 @@ def test_vectorised_decoder_matches_parse_graph6():
         assert np.array_equal(bits, _loop_bits(n, texts))
         for text, matrix in zip(texts, _bits_stack(n, bits)):
             i, j = np.nonzero(np.triu(matrix))
-            assert set(zip(i.tolist(), j.tolist())) == parse_graph6(text).edges
+            assert set(zip(i.tolist(), j.tolist())) == _nx_edges(text)
+            assert parse_graph6(text).edges == _nx_edges(text)
