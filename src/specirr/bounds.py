@@ -16,32 +16,44 @@ written out independently from the paper.
 
 bound_columns is the one evaluation, the path of verify, search and
 compute: from a (B, n, n) adjacency stack it computes every quantity of a
-run of same-n graphs (degree statistics, class, connectivity, both
-spectral radii from one stacked eigensolve, the irregularity and every
-bound) as one int64, boolean or float column.  The gates (connectivity,
-regularity, subregular class, vertex-count floors, an edge) are stated
-once, in the table _GATES: each gated field's gates, each a test of a
-run's columns with the reason a note gives where it fails.
-bound_columns turns them into one mask per field and run, leaving a
-gated bound NaN where it does not apply and the bounds an edgeless graph
-zeroes at 0.0; the notes of a BoundReport come from the same table.
-compute groups its whole input by n before it cuts runs, so an unsorted
-input pays for at most one short run per n.
+run of same-n graphs (degree statistics and class, read from
+graphs._degree_columns, connectivity, both spectral radii from one stacked
+eigensolve, the irregularity and every bound) as one int64, boolean or
+float column.  The gates (connectivity, regularity, subregular class,
+vertex-count floors, an edge) are stated once, in the table _GATES: each
+gated field's gates, each a test of a run's columns with the reason a note
+gives where it fails.  bound_columns turns them into one mask per field and
+run, leaving a gated bound NaN where it does not apply and the bounds an
+edgeless graph zeroes at 0.0; the notes of a BoundReport come from the same
+table.  compute groups its whole input by n before it cuts runs, so an
+unsorted input pays for at most one short run per n.  compute's rows and
+a BoundReport read the columns through one helper, _python_rows, which
+gives Python values and None for a NaN, a gated bound.
 
 build_contexts is the public per-graph view of the same evaluation: it
 cuts its input into runs of consecutive same-n graphs (spectral.split_runs),
 evaluates each with bound_columns and yields one BoundReport per row, with
-Python ints, exact rationals and floats, None where a gated column is NaN
-and the notes of _GATES.  build_context is its one-graph case and
-bound_report the same function under a second name.  The scalar bound
-functions return 0.0 where _GATES zeroes a field (an edgeless graph),
-check their stated guards (an edge, n >= 7, a subregular class) and leave
-the gates that leave a field NaN to the caller.
+Python ints, exact rationals and floats, its DegreeStats and class read by
+graphs._row_stats and _row_class as degree_stats and classify read theirs,
+None where a gated column is NaN and the notes of _GATES.  build_context
+is its one-graph case and bound_report the same function under a second
+name.
+
+The scalar bound functions take one graph's DegreeStats (yu_lu_tian_lower
+the Graph).  nikiforov_bound, main_bound and cg_degree_bound return 0.0
+where _GATES zeroes their field, on an edgeless graph; hofmeister_lower has
+no gate.  Three check guards of their own and raise ValueError:
+yu_lu_tian_lower on a disconnected or edgeless graph, subregular_bounds
+below n = 7 and off the two subregular classes, and
+low_subregular_rho_upper for Dmax < 1.  The rest of the gates are left to
+the caller: cgs_bound assumes a connected non-regular graph on n >= 4
+vertices, hong_shu_fang_upper, subregular_bounds and
+low_subregular_rho_upper a connected one (and the last a low subregular
+one).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -53,6 +65,9 @@ from .graphs import (
     Graph,
     RegularityClass,
     _connected_rows,
+    _degree_columns,
+    _row_class,
+    _row_stats,
     degree_stats,
     is_connected,
 )
@@ -424,26 +439,26 @@ def build_contexts(graphs: Iterable[Graph], tol: float = DEFAULT_TOL) -> Iterato
 
 # BoundReport's float fields, rho through var_ub, each a BoundColumns column.
 _FLOAT_FIELDS = tuple(f.name for f in fields(BoundReport))[4:-1]
-_CLASS_COLUMNS = ("regular", "high_subregular", "low_subregular")
+
+
+def _python_rows(columns: BoundColumns, names: Sequence[str]) -> Iterator[tuple]:
+    """The named columns row by row, each value a Python int, bool, float
+    or list, and a NaN (a gated bound) None."""
+    return zip(*([None if v != v else v for v in getattr(columns, name).tolist()]
+                 for name in names))
 
 
 def _reports(run: Sequence[Graph], columns: BoundColumns) -> Iterator[BoundReport]:
     """The BoundReport of each graph of run from its row of columns, the
-    evaluation of run's adjacency stack: every column value as a Python
-    int, bool or float, a NaN (a gated bound) as None, and in _GATES' order
-    a note on each field with a gate the row fails, from the first such
-    gate."""
+    evaluation of run's adjacency stack: its _python_rows, the DegreeStats
+    and class read by graphs._row_stats and _row_class, and in _GATES'
+    order a note on each field with a gate the row fails, from the first
+    such gate."""
     n = columns.n
     names = [f.name for f in fields(columns)][2:]  # every array past n and adjacency
-    for g, values in zip(run, zip(*(getattr(columns, name).tolist() for name in names))):
+    for g, values in zip(run, _python_rows(columns, names)):
         row = dict(zip(names, values), n=n)
-        stats = DegreeStats(
-            n=n, degrees=tuple(row["degrees"]), two_degrees=tuple(row["two_degrees"]),
-            avg_degree=Fraction(2 * row["m"], n), variance=Fraction(row["n2_variance"], n * n),
-            **{key: row[key] for key in ("m", "max_degree", "min_degree", "sum_sq_degrees")})
-        # The first class whose column holds; none of them: other-irregular.
-        cls = next((c for c, key in zip(RegularityClass, _CLASS_COLUMNS) if row[key]),
-                   RegularityClass.OTHER_IRREGULAR)
+        cls = _row_class(row)
         notes = {}
         for key, ((_, prefix), *gates) in _GATES.items():
             for holds, why in gates:
@@ -451,9 +466,8 @@ def _reports(run: Sequence[Graph], columns: BoundColumns) -> Iterator[BoundRepor
                     notes[key] = prefix + why.format(n=n, cls=cls.value)
                     break
         yield BoundReport(
-            graph=g, stats=stats, regularity=cls, connected=row["connected"],
-            applicability=notes,
-            **{key: None if math.isnan(row[key]) else row[key] for key in _FLOAT_FIELDS})
+            graph=g, stats=_row_stats(n, row), regularity=cls, connected=row["connected"],
+            applicability=notes, **{key: row[key] for key in _FLOAT_FIELDS})
 
 
 def build_context(g: Graph, tol: float = DEFAULT_TOL) -> BoundReport:
@@ -482,9 +496,10 @@ class BoundColumns:
     on integer operands (at most 2 n^5) that float64 holds exactly for
     n <= 1351, so it equals that function's value bit for bit; tier-1
     tests hold it to the formula written out independently.  Integer
-    columns are int64; n2_variance is n^2 var = n sum d^2 - 4m^2, the exact
-    variance scaled to an integer.  Class and connectivity are boolean
-    columns (a graph in none of the three classes is other-irregular).  A
+    columns are int64; m through low_subregular are graphs._degree_columns
+    of the degree rows, n2_variance the exact variance scaled to an
+    integer and the three class masks boolean (a graph in none of them is
+    other-irregular), as is connectivity.  A
     gated bound column is NaN exactly where a gate of _GATES fails, which
     BoundReport notes as inapplicable and holds as None, so a claim with
     that side never fires there.
@@ -541,20 +556,12 @@ def bound_columns(
         stack, connected = stack[connected], connected[connected]
     n = stack.shape[1]
     degrees = stack.sum(axis=2, dtype=np.int64)
-    two_degrees = (stack @ degrees[:, :, None])[:, :, 0]
-    m = degrees.sum(axis=1) // 2
-    dmax, dmin = degrees.max(axis=1), degrees.min(axis=1)
-    gap = dmax - dmin
-    sum_sq = (degrees * degrees).sum(axis=1)
-    n2_variance = n * sum_sq - 4 * m * m
-    # classify_degree_multiset: low wins when both exceptional counts are 1.
-    low = (gap == 1) & ((degrees == dmax[:, None]).sum(axis=1) == 1)
-    high = (gap == 1) & ~low & ((degrees == dmin[:, None]).sum(axis=1) == 1)
+    stats = _degree_columns(degrees)
+    m, n2_variance = stats["m"], stats["n2_variance"]
     rho, q1, _ = _solve_stack(stack, tol, with_q1=True)
-    stats = dict(
-        n=n, degrees=degrees, two_degrees=two_degrees, m=m, max_degree=dmax, min_degree=dmin,
-        sum_sq_degrees=sum_sq, n2_variance=n2_variance, connected=connected, regular=gap == 0,
-        high_subregular=high, low_subregular=low, rho=rho, q1=q1, epsilon=_epsilon(rho, m, n),
+    stats.update(
+        n=n, degrees=degrees, two_degrees=(stack @ degrees[:, :, None])[:, :, 0],
+        connected=connected, rho=rho, q1=q1, epsilon=_epsilon(rho, m, n),
         avg_degree=2 * m / n, variance=n2_variance / (n * n))
     # The rows a gate excludes may divide by zero; their values are
     # overwritten below.

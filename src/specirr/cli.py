@@ -40,7 +40,7 @@ from .spectral import (
     check_tolerance,
     split_rows,
 )
-from .bounds import BoundColumns, bound_columns
+from .bounds import BoundColumns, _python_rows, bound_columns
 from .harness import (
     CHECK_GROUPS,
     DEFAULT_CHECK_TOL,
@@ -84,13 +84,10 @@ GENERATORS = {
 
 def _report_rows(columns: BoundColumns, graph6s: Sequence[str]) -> list[dict]:
     """One row per graph of a run, from its columns and its canonical graph6
-    texts: integers, decimals, every bound, and None for a gated bound."""
-    values = [graph6s, [columns.n] * len(columns)] + [
-        # Every column past n is a BoundColumns field; NaN marks a gated bound.
-        [None if v != v else v for v in getattr(columns, col).tolist()]
-        for col in REPORT_COLUMNS[2:]
-    ]
-    return [dict(zip(REPORT_COLUMNS, row)) for row in zip(*values)]
+    texts: integers, decimals, every bound, and None for a gated bound.
+    Every column past n is a BoundColumns field."""
+    return [dict(zip(REPORT_COLUMNS, (graph6, columns.n, *values)))
+            for graph6, values in zip(graph6s, _python_rows(columns, REPORT_COLUMNS[2:]))]
 
 
 def report_row(g: Graph, graph6: str, tol: float = DEFAULT_TOL) -> dict:

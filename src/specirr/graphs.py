@@ -6,6 +6,10 @@ graph6 text I/O, degree statistics in exact rational arithmetic,
 near-regularity classification, the standard generator families, canonical
 forms under isomorphism, and exhaustive enumeration of isomorphism classes
 up to ENUMERATION_CAP vertices, kept on disk under pinned SHA-256 digests.
+The degree statistics and the regularity class are stated once, as int64
+and boolean columns over a run's degree rows (_degree_columns), which
+bounds.bound_columns and the search read; degree_stats and classify are
+its run of one, read back into Python values by _row_stats and _row_class.
 One row of upper-triangle bits in graph6 order is the interchange between
 graph6 text, Graph and adjacency stack.  Edge (i, j) sits at
 _position(i, j) = j(j-1)/2 + i, the one rule between edges and bits;
@@ -205,7 +209,7 @@ def _graph6_bits(n: int, lines: Sequence[str]) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Degree statistics
+# Degree statistics and regularity class
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -237,64 +241,94 @@ class DegreeStats:
         return float(self.variance)
 
 
-def degree_stats(g: Graph) -> DegreeStats:
-    """Compute degree statistics in one exact pass.
-
-    The variance is the rational (n * sum d^2 - (2m)^2) / n^2, equal to the
-    mean squared deviation from 2m/n; two-degrees are summed over the edges.
-    """
-    degs = g.degrees
-    n, m = g.n, g.m
-    sum_sq = sum(d * d for d in degs)
-    two = [0] * n
-    for u, v in g.edges:
-        two[u] += degs[v]
-        two[v] += degs[u]
-    return DegreeStats(
-        n=n,
-        m=m,
-        degrees=degs,
-        avg_degree=Fraction(2 * m, n),
-        max_degree=max(degs),
-        min_degree=min(degs),
-        sum_sq_degrees=sum_sq,
-        variance=Fraction(n * sum_sq - 4 * m * m, n * n),
-        two_degrees=tuple(two),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Regularity classification
-# ---------------------------------------------------------------------------
-
 class RegularityClass(Enum):
-    REGULAR = "regular"
-    HIGH_SUBREGULAR = "high-subregular"
-    LOW_SUBREGULAR = "low-subregular"
-    OTHER_IRREGULAR = "other-irregular"
-
-
-def classify_degree_multiset(degrees: Sequence[int]) -> RegularityClass:
-    """Classify a degree multiset by how close it is to regular.
+    """How close a degree multiset is to regular.
 
     Naming convention used throughout this library: with max degree D and
     min degree D-1, a *high* subregular graph sits just below D-regular
     (exactly one vertex of degree D-1, all others of degree D, so the
     average degree is D - 1/n), and a *low* subregular graph sits just
     above (D-1)-regular (exactly one vertex of degree D, average degree
-    D - 1 + 1/n).  Part of the literature attaches the names the other way
-    around; this library uses the convention above consistently.
+    D - 1 + 1/n).  Where both counts are 1, as in the degrees (2, 1), low
+    wins.  Part of the literature attaches the names the other way around;
+    this library uses the convention above consistently.
     """
-    dmax = max(degrees)
-    dmin = min(degrees)
-    if dmax == dmin:
-        return RegularityClass.REGULAR
-    if dmax - dmin == 1:
-        if degrees.count(dmax) == 1:
-            return RegularityClass.LOW_SUBREGULAR
-        if degrees.count(dmin) == 1:
-            return RegularityClass.HIGH_SUBREGULAR
-    return RegularityClass.OTHER_IRREGULAR
+
+    REGULAR = "regular"
+    HIGH_SUBREGULAR = "high-subregular"
+    LOW_SUBREGULAR = "low-subregular"
+    OTHER_IRREGULAR = "other-irregular"
+
+
+# The masks of _degree_columns, in RegularityClass order; a row in none of
+# them is other-irregular.
+_CLASS_COLUMNS = ("regular", "high_subregular", "low_subregular")
+
+
+def _degree_columns(degrees: np.ndarray) -> dict[str, np.ndarray]:
+    """The degree statistics and regularity class of each row of a (B, n)
+    array of degree rows, as columns: m, max_degree, min_degree,
+    sum_sq_degrees, n2_variance = n^2 var = n sum d^2 - 4m^2 (the exact
+    variance scaled to an integer) and the masks of _CLASS_COLUMNS, which
+    state the rule of RegularityClass once.  bound_columns and the
+    search's first pass read it on a run's int64 rows, degree_stats and
+    classify on one row of Python ints (_degree_row)."""
+    n = degrees.shape[1]
+    total = degrees.sum(axis=1)
+    m = total // 2
+    dmax, dmin = degrees.max(axis=1), degrees.min(axis=1)
+    sum_sq = (degrees * degrees).sum(axis=1)
+    # Where the gap is 1, every degree is dmin or dmax, and total - n dmin
+    # of them are dmax.
+    near = dmax - dmin == 1
+    low = near & (total - n * dmin == 1)
+    high = near & ~low & (n * dmax - total == 1)
+    return dict(m=m, max_degree=dmax, min_degree=dmin, sum_sq_degrees=sum_sq,
+                n2_variance=n * sum_sq - 4 * m * m, regular=dmax == dmin,
+                high_subregular=high, low_subregular=low)
+
+
+def _row_class(row) -> RegularityClass:
+    """The class of one row of _degree_columns (a mapping from column name
+    to value): the first whose mask holds, else other-irregular."""
+    return next((c for c, key in zip(RegularityClass, _CLASS_COLUMNS) if row[key]),
+                RegularityClass.OTHER_IRREGULAR)
+
+
+def _row_stats(n: int, row) -> DegreeStats:
+    """The DegreeStats of one row of _degree_columns, as Python values,
+    with its degrees and two_degrees."""
+    return DegreeStats(
+        n=n, degrees=tuple(row["degrees"]), two_degrees=tuple(row["two_degrees"]),
+        avg_degree=Fraction(2 * row["m"], n), variance=Fraction(row["n2_variance"], n * n),
+        **{key: row[key] for key in ("m", "max_degree", "min_degree", "sum_sq_degrees")})
+
+
+def _degree_row(degrees: Sequence[int]) -> dict:
+    """_degree_columns of one degree sequence, as Python values.  The row
+    holds Python ints, not int64, which would wrap on n sum d^2 (about n^3
+    on a star) past two million vertices."""
+    columns = _degree_columns(np.array([degrees], dtype=object))
+    return {key: column.item() for key, column in columns.items()}
+
+
+def degree_stats(g: Graph) -> DegreeStats:
+    """Degree statistics of g: _degree_columns of its degrees, a run of one,
+    and its two-degrees summed over the edges, in O(n + m).  The variance
+    is the rational (n * sum d^2 - (2m)^2) / n^2, equal to the mean squared
+    deviation from 2m/n.
+    """
+    degs, two = g.degrees, [0] * g.n
+    for u, v in g.edges:
+        two[u] += degs[v]
+        two[v] += degs[u]
+    return _row_stats(g.n, {**_degree_row(degs), "degrees": degs, "two_degrees": two})
+
+
+def classify_degree_multiset(degrees: Sequence[int]) -> RegularityClass:
+    """The RegularityClass of a degree multiset: _degree_columns on a run
+    of one."""
+    return _row_class(_degree_row(degrees))
 
 
 def classify(g: Graph) -> RegularityClass:

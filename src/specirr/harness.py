@@ -10,6 +10,8 @@ question is open and the harness gathers evidence.  Both go through one
 routine, _search, which holds the index, m, epsilon and degree gap of the
 classes it keeps as columns and states the tie rule once: a cell's ties
 are its classes within TIE_TOL of the cell's optimum; the first one wins.
+Its first pass reads m, the degree extremes and the regular mask from
+graphs._degree_columns, as bound_columns does.
 
 Both work a run at a time: up to spectral.run_length(n) graphs with the
 same n, as one (B, n, n) adjacency stack.  The corpus path cuts its runs
@@ -39,6 +41,7 @@ from .graphs import (
     _class_bits,
     _class_forms,
     _connected_rows,
+    _degree_columns,
     _edge_cells,
     _triangle,
     canonical_form,
@@ -417,15 +420,16 @@ def _search_columns(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The class index, m, degree gap and Yu-Lu-Tian floor of each class of
     n in index (class indices) that _search keeps: connected, and
-    non-regular with "min"."""
+    non-regular with "min".  m, the gap's extremes and the regular mask
+    are graphs._degree_columns'."""
     stack = _bits_stack(n, _class_bits(n)[index])
     degrees = stack.sum(axis=2, dtype=np.int64)
-    gap = degrees.max(axis=1) - degrees.min(axis=1)
-    keep = _connected_rows(stack) & ((gap > 0) | (objective == "max"))
+    c = _degree_columns(degrees)
+    keep = _connected_rows(stack) & (~c["regular"] | (objective == "max"))
     stack, degrees = stack[keep], degrees[keep]
     floor = _yu_lu_tian_column(degrees, (stack @ degrees[:, :, None])[:, :, 0])
-    return (index[keep], (degrees.sum(axis=1) // 2).astype(np.int16),
-            gap[keep].astype(np.int16), floor)
+    gap = c["max_degree"] - c["min_degree"]
+    return index[keep], c["m"][keep].astype(np.int16), gap[keep].astype(np.int16), floor
 
 
 def _search(n: int, first: int, stop: int, objective: str) -> list[SearchRecord]:

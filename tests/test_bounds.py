@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from specirr import (
+    DegreeStats,
     RegularityClass,
     bound_report,
     cg_degree_bound,
@@ -493,17 +494,51 @@ FLOAT_FIELDS = ("rho", "q1", "epsilon", "nikiforov", "main", "cg_degree", "cgs",
                 "sub_high", "sub_low", "hofmeister_lb", "ylt_lb", "hsf_ub", "var_lb", "var_ub")
 
 
+def _degree_reference(g):
+    # g's degree statistics and regularity class written out from its edge
+    # list, with no call into specirr's degree code: the degrees and
+    # 2-degrees counted edge by edge, the variance as the mean squared
+    # deviation from 2m/n, and the class by the documented convention (a
+    # low subregular multiset, one vertex of degree D and the rest D - 1,
+    # before a high one, one vertex of degree D - 1 and the rest D).
+    n, m = g.n, len(g.edges)
+    degrees, two_degrees = [0] * n, [0] * n
+    for u, v in g.edges:
+        degrees[u] += 1
+        degrees[v] += 1
+    for u, v in g.edges:
+        two_degrees[u] += degrees[v]
+        two_degrees[v] += degrees[u]
+    dmax, dmin = max(degrees), min(degrees)
+    avg = Fraction(2 * m, n)
+    s = DegreeStats(n=n, m=m, degrees=tuple(degrees), avg_degree=avg, max_degree=dmax,
+                    min_degree=dmin, sum_sq_degrees=sum(d * d for d in degrees),
+                    variance=sum((d - avg) ** 2 for d in degrees) / n,
+                    two_degrees=tuple(two_degrees))
+    ordered = sorted(degrees)
+    if dmax == dmin:
+        cls = RegularityClass.REGULAR
+    elif ordered == [dmax - 1] * (n - 1) + [dmax]:
+        cls = RegularityClass.LOW_SUBREGULAR
+    elif ordered == [dmax - 1] + [dmax] * (n - 1):
+        cls = RegularityClass.HIGH_SUBREGULAR
+    else:
+        cls = RegularityClass.OTHER_IRREGULAR
+    return s, cls
+
+
 def _reference(g):
     # g's record written out from the paper's formulas, with no call into
-    # specirr.bounds, and a per-graph eigvalsh (rho = d and q1 = 2d on a
-    # d-regular graph, exactly), with the documented notes above, each
-    # gated bound None where its note marks it inapplicable (the only note
-    # a gated field can get) and each bound an edgeless graph zeroes 0.0.
-    # A rational bound is the float of its exact value; a bound with a
-    # square root takes its operations in the order bounds documents.
-    # Returns the degree statistics, class, connectivity, notes and the
-    # float of every field of FLOAT_FIELDS.
-    s, cls, connected = degree_stats(g), classify(g), is_connected(g)
+    # specirr.bounds or specirr's degree code (_degree_reference), and a
+    # per-graph eigvalsh (rho = d and q1 = 2d on a d-regular graph,
+    # exactly), with the documented notes above, each gated bound None
+    # where its note marks it inapplicable (the only note a gated field can
+    # get) and each bound an edgeless graph zeroes 0.0.  A rational bound
+    # is the float of its exact value; a bound with a square root takes its
+    # operations in the order bounds documents.  Returns the degree
+    # statistics, class, connectivity, notes and the float of every field
+    # of FLOAT_FIELDS.
+    (s, cls), connected = _degree_reference(g), is_connected(g)
     notes = _documented_notes(s.n, s.m, cls, connected)
     a = _adjacency_stack([g])[0].astype(float)
     rho = float(np.linalg.eigvalsh(a)[-1])
@@ -612,6 +647,39 @@ def _subregular_graphs():
     return graphs
 
 
+def test_class_counts_of_the_stored_classes():
+    # Per n = 1..8, disconnected classes included, read from bound_columns'
+    # masks and from classify, which must agree: the regular classes (OEIS
+    # A005176), the connected regular ones (A005177), the high and low
+    # subregular ones, and the rest of the A000088 classes, other-irregular.
+    # Complementation maps a high subregular multiset (one D - 1, the rest
+    # D) onto a low one, so their counts are equal.
+    REGULAR, HIGH, LOW, OTHER = RegularityClass
+    counts = {
+        REGULAR: [1, 2, 2, 4, 3, 8, 6, 22],
+        "connected regular": [1, 1, 1, 2, 2, 5, 4, 17],
+        HIGH: [0, 0, 1, 0, 2, 0, 6, 0],
+        LOW: [0, 0, 1, 0, 2, 0, 6, 0],
+        OTHER: [0, 0, 0, 7, 27, 148, 1026, 12324],
+    }
+    expected = {(n, key): count for key, per_n in counts.items()
+                for n, count in enumerate(per_n, 1) if count}
+    runs = _captured_runs(lambda checks: verify_corpus(8, connected_only=False, checks=checks))
+    masks = Counter()
+    for c in runs:
+        for key, mask in ((REGULAR, c.regular), ("connected regular", c.regular & c.connected),
+                          (HIGH, c.high_subregular), (LOW, c.low_subregular),
+                          (OTHER, ~(c.regular | c.high_subregular | c.low_subregular))):
+            masks[c.n, key] += int(mask.sum())
+    classes = Counter()
+    for n in range(1, 9):
+        for g in enumerate_graphs(n):
+            cls = classify(g)
+            classes[n, cls] += 1
+            classes[n, "connected regular"] += cls is REGULAR and is_connected(g)
+    assert +masks == +classes == expected
+
+
 def test_columns_equal_the_report_on_every_family_to_n_40():
     # verify_graphs on Graph input, past the enumeration cap, in runs of
     # several graphs with one n: every gen family, and connected high and
@@ -642,13 +710,13 @@ def test_reports_are_rows_of_python_values():
     for g, rep in zip(graphs, build_contexts(graphs), strict=True):
         s, cls, connected, notes, values = _reference(g)
         assert rep.graph is g
-        assert rep.stats == s  # degree_stats(g)
+        assert rep.stats == s == degree_stats(g)
         ints = [getattr(rep.stats, key) for key in ("n", "m", "max_degree", "min_degree",
                                                     "sum_sq_degrees")]
         ints += [*rep.stats.degrees, *rep.stats.two_degrees]
         assert all(type(value) is int for value in ints), g
         assert type(rep.stats.degrees) is type(rep.stats.two_degrees) is tuple
-        assert rep.regularity is cls  # classify(g)
+        assert rep.regularity is cls is classify(g)
         assert type(rep.connected) is bool and rep.connected == connected
         assert rep.applicability == notes
         assert list(rep.applicability.items()) == list(notes.items()), g

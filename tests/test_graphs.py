@@ -146,6 +146,16 @@ def test_stats_identities_on_random_graphs():
         assert (s.min_degree, s.max_degree) == (min(degs), max(degs))
 
 
+def test_degree_statistics_stay_exact_past_int64():
+    # A star's n sum d^2 is about n^3, past int64 from n = 2 100 000 on;
+    # one graph's statistics are Python ints, as exact as the formulas.
+    leaves = 2_100_000
+    row = graphs._degree_row([leaves] + [1] * leaves)
+    n, m, sum_sq = leaves + 1, leaves, leaves * leaves + leaves
+    assert row["n2_variance"] == n * sum_sq - 4 * m * m > 2**63
+    assert (row["m"], row["sum_sq_degrees"]) == (m, sum_sq)
+
+
 def test_two_degrees_path():
     s = degree_stats(path(3))
     assert s.two_degrees == (2, 2, 2)
@@ -179,6 +189,9 @@ def test_classify_depends_on_multiset_only():
     assert classify_degree_multiset((4, 3, 3, 3, 3)) is RegularityClass.LOW_SUBREGULAR
     assert classify_degree_multiset((2, 2, 1, 1)) is RegularityClass.OTHER_IRREGULAR
     assert classify_degree_multiset((0,)) is RegularityClass.REGULAR
+    # One vertex of degree D and one of degree D - 1: both counts are 1,
+    # and low wins.
+    assert classify_degree_multiset((2, 1)) is RegularityClass.LOW_SUBREGULAR
 
 
 # ---------------------------------------------------------------------------
