@@ -16,19 +16,22 @@ written out independently from the paper.
 
 bound_columns is the one evaluation, the path of verify, search and
 compute: from a (B, n, n) adjacency stack it computes every quantity of a
-run of same-n graphs (degree statistics and class, read from
-graphs._degree_columns, connectivity, both spectral radii from one stacked
-eigensolve, the irregularity and every bound) as one int64, boolean or
-float column.  The gates (connectivity, regularity, subregular class,
-vertex-count floors, an edge) are stated once, in the table _GATES: each
-gated field's gates, each a test of a run's columns with the reason a note
-gives where it fails.  bound_columns turns them into one mask per field and
-run, leaving a gated bound NaN where it does not apply and the bounds an
-edgeless graph zeroes at 0.0; the notes of a BoundReport come from the same
-table.  compute groups its whole input by n before it cuts runs, so an
-unsorted input pays for at most one short run per n.  compute's rows and
-a BoundReport read the columns through one helper, _python_rows, which
-gives Python values and None for a NaN, a gated bound.
+run of same-n graphs (degrees, 2-degrees, connectivity, degree statistics
+and class, read from the structural pass graphs._stack_columns, both
+spectral radii from one stacked eigensolve, the irregularity and every
+bound) as one int64, boolean or float column.  With connected_only the
+stack and every column of that pass are cut to the connected rows, one
+filter, before the eigensolve.  The gates (connectivity, regularity,
+subregular class, vertex-count floors, an edge) are stated once, in the
+table _GATES: each gated field's gates, each a test of a run's columns
+with the reason a note gives where it fails, the class read from the
+masks of graphs._degree_columns.  bound_columns turns them into one mask
+per field and run, leaving a gated bound NaN where it does not apply and
+the bounds an edgeless graph zeroes at 0.0; the notes of a BoundReport
+come from the same table.  compute groups its whole input by n before it
+cuts runs, so an unsorted input pays for at most one short run per n.
+compute's rows and a BoundReport read the columns through one helper,
+_python_rows, which gives Python values and None for a NaN, a gated bound.
 
 build_contexts is the public per-graph view of the same evaluation: it
 cuts its input into runs of consecutive same-n graphs (spectral.split_runs),
@@ -64,10 +67,9 @@ from .graphs import (
     DegreeStats,
     Graph,
     RegularityClass,
-    _connected_rows,
-    _degree_columns,
     _row_class,
     _row_stats,
+    _stack_columns,
     degree_stats,
     is_connected,
 )
@@ -405,7 +407,8 @@ class BoundReport:
 # included) to a run's columns or to one row's values, and the reason its
 # note gives where it fails, formatted with n and the row's class.
 _CONNECTED = (lambda c: c["connected"], "graph is disconnected")
-_NON_REGULAR = (lambda c: c["max_degree"] > c["min_degree"], "graph is regular")
+# np.logical_not, not ~: on one row's Python bool, ~True is -2, which is true.
+_NON_REGULAR = (lambda c: np.logical_not(c["regular"]), "graph is regular")
 _FOUR = (lambda c: c["n"] >= 4, "n < 4 (the 3-vertex path falsifies the bound)")
 _HIGH = (lambda c: c["high_subregular"], "graph is {cls}")
 _LOW = (lambda c: c["low_subregular"], "graph is {cls}")
@@ -496,11 +499,11 @@ class BoundColumns:
     on integer operands (at most 2 n^5) that float64 holds exactly for
     n <= 1351, so it equals that function's value bit for bit; tier-1
     tests hold it to the formula written out independently.  Integer
-    columns are int64; m through low_subregular are graphs._degree_columns
-    of the degree rows, n2_variance the exact variance scaled to an
-    integer and the three class masks boolean (a graph in none of them is
-    other-irregular), as is connectivity.  A
-    gated bound column is NaN exactly where a gate of _GATES fails, which
+    columns are int64; degrees through low_subregular are
+    graphs._stack_columns of the adjacency stack, n2_variance the exact
+    variance scaled to an integer, and connectivity and the three class
+    masks boolean (a graph in none of them is other-irregular).  A gated
+    bound column is NaN exactly where a gate of _GATES fails, which
     BoundReport notes as inapplicable and holds as None, so a claim with
     that side never fires there.
     """
@@ -545,24 +548,22 @@ def bound_columns(
     """BoundColumns of a (B, n, n) 0/1 adjacency stack, from one stacked
     eigensolve (rho, q1) and one pass of array arithmetic per quantity.
 
-    Connectivity is tested once; with connected_only the disconnected
-    rows are dropped before anything else is computed, and the row of a
+    The structure of the run (degrees, 2-degrees, connectivity, degree
+    statistics and class) is graphs._stack_columns of the whole stack;
+    with connected_only the stack and every column are then cut to the
+    connected rows before the eigensolve, and the row of a
     SpectralConvergenceError counts the kept rows.  Each field of _GATES
     is then set to its fill value (NaN, or 0.0 on an edgeless graph) on the
     rows that fail one of its gates, one mask per gate and run.
     """
-    connected = _connected_rows(stack)
+    stats = _stack_columns(stack)
     if connected_only:
-        stack, connected = stack[connected], connected[connected]
-    n = stack.shape[1]
-    degrees = stack.sum(axis=2, dtype=np.int64)
-    stats = _degree_columns(degrees)
-    m, n2_variance = stats["m"], stats["n2_variance"]
+        keep = stats["connected"]
+        stack, stats = stack[keep], {key: column[keep] for key, column in stats.items()}
+    n, m = stack.shape[1], stats["m"]
     rho, q1, _ = _solve_stack(stack, tol, with_q1=True)
-    stats.update(
-        n=n, degrees=degrees, two_degrees=(stack @ degrees[:, :, None])[:, :, 0],
-        connected=connected, rho=rho, q1=q1, epsilon=_epsilon(rho, m, n),
-        avg_degree=2 * m / n, variance=n2_variance / (n * n))
+    stats.update(n=n, rho=rho, q1=q1, epsilon=_epsilon(rho, m, n), avg_degree=2 * m / n,
+                 variance=stats["n2_variance"] / (n * n))
     # The rows a gate excludes may divide by zero; their values are
     # overwritten below.
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -7,9 +7,14 @@ near-regularity classification, the standard generator families, canonical
 forms under isomorphism, and exhaustive enumeration of isomorphism classes
 up to ENUMERATION_CAP vertices, kept on disk under pinned SHA-256 digests.
 The degree statistics and the regularity class are stated once, as int64
-and boolean columns over a run's degree rows (_degree_columns), which
-bounds.bound_columns and the search read; degree_stats and classify are
-its run of one, read back into Python values by _row_stats and _row_class.
+and boolean columns over a run's degree rows (_degree_columns);
+degree_stats and classify are its run of one, read back into Python
+values by _row_stats and _row_class.  A run's structure is one pass over
+its adjacency stack (_stack_columns): the int64 degree rows, the
+2-degrees A d, connectivity (_connected_rows) and the _degree_columns of
+those rows, which bounds.bound_columns and the search read.
+spectral._solve_stack reads the regular mask of _degree_columns for its
+exact regular radii.
 One row of upper-triangle bits in graph6 order is the interchange between
 graph6 text, Graph and adjacency stack.  Edge (i, j) sits at
 _position(i, j) = j(j-1)/2 + i, the one rule between edges and bits;
@@ -270,8 +275,8 @@ def _degree_columns(degrees: np.ndarray) -> dict[str, np.ndarray]:
     array of degree rows, as columns: m, max_degree, min_degree,
     sum_sq_degrees, n2_variance = n^2 var = n sum d^2 - 4m^2 (the exact
     variance scaled to an integer) and the masks of _CLASS_COLUMNS, which
-    state the rule of RegularityClass once.  bound_columns and the
-    search's first pass read it on a run's int64 rows, degree_stats and
+    state the rule of RegularityClass once.  _stack_columns and
+    spectral._solve_stack read it on a run's int64 rows, degree_stats and
     classify on one row of Python ints (_degree_row)."""
     n = degrees.shape[1]
     total = degrees.sum(axis=1)
@@ -384,6 +389,17 @@ def _connected_rows(stack: np.ndarray) -> np.ndarray:
     for _ in range(max(n - 2, 0).bit_length()):
         reach = np.minimum(reach @ reach, 1.0)
     return reach[:, 0].all(axis=1)
+
+
+def _stack_columns(stack: np.ndarray) -> dict[str, np.ndarray]:
+    """The structure of each matrix of a (B, n, n) 0/1 adjacency stack, as
+    columns: its int64 degrees, its two_degrees A d, connected
+    (_connected_rows) and the _degree_columns of the degree rows.  The one
+    structural pass of a run, read by bounds.bound_columns and the search."""
+    degrees = stack.sum(axis=2, dtype=np.int64)
+    return dict(_degree_columns(degrees), degrees=degrees,
+                two_degrees=(stack @ degrees[:, :, None])[:, :, 0],
+                connected=_connected_rows(stack))
 
 
 # ---------------------------------------------------------------------------

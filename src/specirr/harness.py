@@ -10,8 +10,10 @@ question is open and the harness gathers evidence.  Both go through one
 routine, _search, which holds the index, m, epsilon and degree gap of the
 classes it keeps as columns and states the tie rule once: a cell's ties
 are its classes within TIE_TOL of the cell's optimum; the first one wins.
-Its first pass reads m, the degree extremes and the regular mask from
-graphs._degree_columns, as bound_columns does.
+Its first pass reads degrees, 2-degrees, connectivity, m, the degree
+extremes and the regular mask from graphs._stack_columns, the structural
+pass bound_columns reads too.  Every check that needs regularity reads
+bound_columns' regular mask.
 
 Both work a run at a time: up to spectral.run_length(n) graphs with the
 same n, as one (B, n, n) adjacency stack.  The corpus path cuts its runs
@@ -40,9 +42,8 @@ from .graphs import (
     _check_edge_count,
     _class_bits,
     _class_forms,
-    _connected_rows,
-    _degree_columns,
     _edge_cells,
+    _stack_columns,
     _triangle,
     canonical_form,
     parse_graph6,
@@ -169,7 +170,7 @@ def _check_dominance(c: BoundColumns, tol: float):
     return [
         Claim("dominance", c.nikiforov, c.main, tol),
         # Strictly better whenever the degrees are not all equal.
-        Claim("dominance-strict", _where(c.n2_variance > 0, c.nikiforov), c.main, -TIE_TOL),
+        Claim("dominance-strict", _where(~c.regular, c.nikiforov), c.main, -TIE_TOL),
     ]
 
 
@@ -420,14 +421,11 @@ def _search_columns(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The class index, m, degree gap and Yu-Lu-Tian floor of each class of
     n in index (class indices) that _search keeps: connected, and
-    non-regular with "min".  m, the gap's extremes and the regular mask
-    are graphs._degree_columns'."""
-    stack = _bits_stack(n, _class_bits(n)[index])
-    degrees = stack.sum(axis=2, dtype=np.int64)
-    c = _degree_columns(degrees)
-    keep = _connected_rows(stack) & (~c["regular"] | (objective == "max"))
-    stack, degrees = stack[keep], degrees[keep]
-    floor = _yu_lu_tian_column(degrees, (stack @ degrees[:, :, None])[:, :, 0])
+    non-regular with "min".  Every quantity it reads is a column of the
+    structural pass graphs._stack_columns."""
+    c = _stack_columns(_bits_stack(n, _class_bits(n)[index]))
+    keep = c["connected"] & (~c["regular"] | (objective == "max"))
+    floor = _yu_lu_tian_column(c["degrees"][keep], c["two_degrees"][keep])
     gap = c["max_degree"] - c["min_degree"]
     return index[keep], c["m"][keep].astype(np.int16), gap[keep].astype(np.int16), floor
 

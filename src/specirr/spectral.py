@@ -6,7 +6,9 @@ top eigenvalue gives rho, accepted only when the residual ||Ax - rho x||
 of a unit vector x is within the requested tolerance, and the top
 eigenvalue of A + D gives the signless-Laplacian radius.  x comes from one
 linear solve, (sI - A) x = 1 with s just above rho, which makes x lean to
-the top eigenvector.  A d-regular graph gets rho = d and q1 = 2d exactly.
+the top eigenvector.  A d-regular graph gets rho = d and q1 = 2d exactly,
+its class read from the regular mask of graphs._degree_columns on its
+int64 degree rows, which are also the diagonal of A + D.
 A disconnected graph needs no special handling, since the spectrum of its
 block-diagonal matrix is the union of the components' spectra.
 
@@ -67,7 +69,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .graphs import Graph, _bits_stack, _position
+from .graphs import Graph, _bits_stack, _degree_columns, _position
 
 DEFAULT_TOL = 1e-12
 ORACLE_MAX_N = 12
@@ -182,8 +184,10 @@ def _solve_stack(
     matrix singular) is solved again by eigh, which gives its rho and the
     residual of its unit top eigenvector; a row still above the bound
     raises SpectralConvergenceError for the first such row, with row set
-    to its index.  A regular row, all row sums d, gets rho = d and
-    q1 = 2d exactly: both are theorems.  The stack is not modified.
+    to its index.  A row on the regular mask of graphs._degree_columns
+    of its int64 degree rows, of degree d = max_degree, gets rho = d and
+    q1 = 2d exactly: both are theorems.  The diagonal of A + D is those
+    degree rows.  The stack is not modified.
     """
     adj = stack.astype(float)
     n = adj.shape[1]
@@ -210,15 +214,16 @@ def _solve_stack(
                 f"(relative to rho = {rho[i]:.6g})",
                 row=int(i),
             )
-    degrees = adj.sum(axis=2)
-    regular = (degrees == degrees[:, :1]).all(axis=1)
-    rho[regular] = degrees[regular, 0]
+    degrees = stack.sum(axis=2, dtype=np.int64)
+    c = _degree_columns(degrees)
+    regular, d = c["regular"], c["max_degree"]
+    rho[regular] = d[regular]
     q1 = None
     if with_q1:
         diagonal = np.arange(n)
         adj[:, diagonal, diagonal] = degrees  # A + D
         q1 = np.linalg.eigvalsh(adj)[:, -1]
-        q1[regular] = 2 * degrees[regular, 0]
+        q1[regular] = 2 * d[regular]
     return rho, q1, residual
 
 

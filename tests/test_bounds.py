@@ -3,6 +3,7 @@
 import contextlib
 import math
 from collections import Counter
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -42,6 +43,8 @@ from specirr import (
     yu_lu_tian_lower,
 )
 from specirr.bounds import (
+    BoundColumns,
+    bound_columns,
     build_contexts,
     l_high_exact,
     l_high_two_term_exact,
@@ -49,7 +52,8 @@ from specirr.bounds import (
     l_low_two_term_exact,
 )
 from specirr.cli import GENERATORS
-from specirr.spectral import _adjacency_stack
+from specirr.graphs import _bits_stack, _class_bits
+from specirr.spectral import _adjacency_stack, split_rows, split_runs
 
 # Frozen golden constants for the subdivided 3-prism witness (see
 # test_spectral for their provenance).
@@ -680,23 +684,52 @@ def test_class_counts_of_the_stored_classes():
     assert +masks == +classes == expected
 
 
-def test_columns_equal_the_report_on_every_family_to_n_40():
-    # verify_graphs on Graph input, past the enumeration cap, in runs of
-    # several graphs with one n: every gen family, and connected high and
-    # low subregular graphs up to n = 41, where the paper's subregular
-    # bounds apply (only 106 classes n <= 9 are subregular).
+def _families_to_n_40():
+    # Every gen family up to n = 40.
     graphs = []
     for make in GENERATORS.values():
         for size in range(1, 41):
             with contextlib.suppress(ValueError):  # below the family's least size
                 graphs.append(make(size))
-    graphs = [g for g in graphs if g.n <= 40] + _subregular_graphs()
+    return [g for g in graphs if g.n <= 40]
+
+
+def test_columns_equal_the_report_on_every_family_to_n_40():
+    # verify_graphs on Graph input, past the enumeration cap, in runs of
+    # several graphs with one n: every gen family, and connected high and
+    # low subregular graphs up to n = 41, where the paper's subregular
+    # bounds apply (only 106 classes n <= 9 are subregular).
+    graphs = _families_to_n_40() + _subregular_graphs()
     graphs.sort(key=lambda g: g.n)
     runs = _captured_runs(lambda checks: verify_graphs(graphs, checks=checks))
     rows = [(columns, row) for columns in runs for row in range(len(columns))]
     assert len(rows) == len(graphs) and max(len(columns) for columns in runs) > 1
     for (columns, row), g in zip(rows, graphs):
         _assert_row_is_reference(columns, row, g)
+
+
+def test_connected_only_cuts_every_column_to_the_connected_rows():
+    # bound_columns(stack, connected_only=True) is bound_columns(stack) on
+    # its connected rows, every array bit for bit, adjacency included: on
+    # every class n <= 7 in split_rows runs, disconnected ones included,
+    # and every gen family up to n = 40 in runs per n.
+    stacks = [_bits_stack(n, bits) for n in range(1, 8)
+              for bits in split_rows(_class_bits(n), n)]
+    families = sorted(_families_to_n_40(), key=lambda g: g.n)
+    stacks += [stack for _, stack in split_runs(families)]
+    cut = 0
+    for stack in stacks:
+        full, kept = bound_columns(stack), bound_columns(stack, connected_only=True)
+        rows = full.connected
+        cut += int((~rows).sum())
+        assert kept.n == full.n
+        for f in fields(BoundColumns)[1:]:
+            want, got = getattr(full, f.name)[rows], getattr(kept, f.name)
+            assert (got.dtype, got.shape) == (want.dtype, want.shape), f.name
+            assert got.tobytes() == want.tobytes(), (f.name, full.n)
+    # The disconnected classes n <= 7: A000088 less A001349 (1, 1, 2, 6, 21,
+    # 112, 853 connected).
+    assert cut == 1252 - 996
 
 
 def test_reports_are_rows_of_python_values():
